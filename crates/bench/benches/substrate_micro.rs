@@ -79,7 +79,7 @@ fn bench(c: &mut Criterion) {
         let mut t = 0u64;
         b.iter(|| {
             t += 30;
-            logger.on_tick(&mut fs, SimTime::from_secs(t), &ctx);
+            logger.on_tick(&mut fs, SimTime::from_secs(t), || ctx.clone());
         })
     });
 

@@ -690,7 +690,7 @@ mod tests {
         let ctx = PhoneContext::default();
         lg.on_boot(&mut fs, t(0), &ctx);
         for i in 1..=10 {
-            lg.on_tick(&mut fs, t(30 * i), &ctx);
+            lg.on_tick(&mut fs, t(30 * i), || ctx.clone());
         }
         lg.on_panic(
             &mut fs,
@@ -701,7 +701,7 @@ mod tests {
         lg.on_clean_shutdown(&mut fs, t(310), ShutdownKind::Reboot);
         lg.on_boot(&mut fs, t(400), &ctx); // 90 s off: a self-shutdown candidate
         for i in 14..=16 {
-            lg.on_tick(&mut fs, t(30 * i), &ctx);
+            lg.on_tick(&mut fs, t(30 * i), || ctx.clone());
         }
         // freeze: no clean shutdown, battery pulled, reboot much later
         lg.on_boot(&mut fs, t(4000), &ctx);
@@ -784,7 +784,7 @@ mod tests {
         let ctx = PhoneContext::default();
         lg.on_boot(&mut fs, t(0), &ctx);
         for i in 1..=50 {
-            lg.on_tick(&mut fs, t(30 * i), &ctx);
+            lg.on_tick(&mut fs, t(30 * i), || ctx.clone());
         }
         let systems: Vec<(u32, &FlashFs)> = (0..7).map(|id| (id, &fs)).collect();
         let seq = FleetDataset::from_flash(systems.iter().map(|&(id, f)| (id, f)));
@@ -816,7 +816,7 @@ mod tests {
         let ctx = PhoneContext::default();
         lg.on_boot(&mut fs, t(0), &ctx);
         for i in 1..=5 {
-            lg.on_tick(&mut fs, t(30 * i), &ctx);
+            lg.on_tick(&mut fs, t(30 * i), || ctx.clone());
         }
         lg.on_panic(
             &mut fs,

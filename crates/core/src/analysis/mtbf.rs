@@ -129,7 +129,7 @@ mod tests {
         let mut now = 0u64;
         while now < 3600 {
             now += 30;
-            lg.on_tick(&mut fs, SimTime::from_secs(now), &ctx);
+            lg.on_tick(&mut fs, SimTime::from_secs(now), || ctx.clone());
         }
         lg.on_clean_shutdown(&mut fs, SimTime::from_secs(now + 5), ShutdownKind::Reboot);
         // 80 s self-shutdown-like reboot
@@ -138,7 +138,7 @@ mod tests {
         let mut t2 = base;
         while t2 < base + 3600 {
             t2 += 30;
-            lg.on_tick(&mut fs, SimTime::from_secs(t2), &ctx);
+            lg.on_tick(&mut fs, SimTime::from_secs(t2), || ctx.clone());
         }
         // freeze + battery pull + late boot
         lg.on_boot(&mut fs, SimTime::from_secs(t2 + 7200), &ctx);

@@ -635,7 +635,7 @@ mod tests {
             };
             lg.on_boot(&mut fs, SimTime::ZERO, &ctx);
             for i in 1..20 {
-                lg.on_tick(&mut fs, SimTime::from_secs(i * 30), &ctx);
+                lg.on_tick(&mut fs, SimTime::from_secs(i * 30), || ctx.clone());
             }
             lg.on_panic(
                 &mut fs,

@@ -122,7 +122,7 @@ pub enum ShutdownKind {
 /// let mut logger = FailureLogger::new(LoggerConfig::default());
 /// let ctx = PhoneContext::default();
 /// logger.on_boot(&mut fs, SimTime::ZERO, &ctx);
-/// logger.on_tick(&mut fs, SimTime::from_secs(30), &ctx);
+/// logger.on_tick(&mut fs, SimTime::from_secs(30), PhoneContext::default);
 /// logger.on_clean_shutdown(&mut fs, SimTime::from_secs(60), ShutdownKind::Reboot);
 /// // Next boot classifies the previous session:
 /// logger.on_boot(&mut fs, SimTime::from_secs(142), &ctx);
@@ -172,12 +172,20 @@ impl FailureLogger {
     }
 
     /// Periodic heartbeat tick; also drives the lower-frequency
-    /// snapshots of the auxiliary files.
-    pub fn on_tick(&mut self, fs: &mut FlashFs, now: SimTime, ctx: &PhoneContext) {
+    /// snapshots of the auxiliary files. `sample` reads the phone state
+    /// and is called only on the ticks that write a snapshot (one in
+    /// [`LoggerConfig::snapshot_every`]); every other tick writes just
+    /// its `ALIVE` beat.
+    pub fn on_tick(
+        &mut self,
+        fs: &mut FlashFs,
+        now: SimTime,
+        sample: impl FnOnce() -> PhoneContext,
+    ) {
         self.heartbeat.beat(fs, now);
         self.ticks_since_snapshot += 1;
         if self.ticks_since_snapshot >= self.config.snapshot_every {
-            self.snapshot(fs, now, ctx);
+            self.snapshot(fs, now, &sample());
             self.ticks_since_snapshot = 0;
         }
     }
@@ -241,6 +249,7 @@ impl FailureLogger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use symfail_sim_core::SimRng;
     use symfail_symbian::panic::codes;
 
     fn ctx() -> PhoneContext {
@@ -273,7 +282,7 @@ mod tests {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
         lg.on_boot(&mut fs, t(0), &ctx());
-        lg.on_tick(&mut fs, t(30), &ctx());
+        lg.on_tick(&mut fs, t(30), ctx);
         lg.on_clean_shutdown(&mut fs, t(45), ShutdownKind::Reboot);
         lg.on_boot(&mut fs, t(125), &ctx());
         let boots = lg.boot_records(&fs);
@@ -289,7 +298,7 @@ mod tests {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
         lg.on_boot(&mut fs, t(0), &ctx());
-        lg.on_tick(&mut fs, t(30), &ctx());
+        lg.on_tick(&mut fs, t(30), ctx);
         // Phone freezes: no clean shutdown; the user pulls the battery
         // and boots again later.
         lg.on_boot(&mut fs, t(600), &ctx());
@@ -345,12 +354,87 @@ mod tests {
         });
         lg.on_boot(&mut fs, t(0), &ctx()); // snapshot #1
         for i in 1..=4 {
-            lg.on_tick(&mut fs, t(30 * i), &ctx());
+            lg.on_tick(&mut fs, t(30 * i), ctx);
         }
         // boot snapshot + ticks 2 and 4
         assert_eq!(fs.read_lines(files::RUNAPP).count(), 3);
         assert_eq!(fs.read_lines(files::POWER).count(), 3);
         assert_eq!(fs.read_lines(files::BEATS).count(), 5);
+    }
+
+    /// The eager tick the logger used to run, kept as the reference for
+    /// the lazy one: it is handed a context sampled on every tick.
+    fn eager_tick(lg: &mut FailureLogger, fs: &mut FlashFs, now: SimTime, ctx: &PhoneContext) {
+        lg.heartbeat.beat(fs, now);
+        lg.ticks_since_snapshot += 1;
+        if lg.ticks_since_snapshot >= lg.config.snapshot_every {
+            lg.snapshot(fs, now, ctx);
+            lg.ticks_since_snapshot = 0;
+        }
+    }
+
+    fn random_ctx(rng: &mut SimRng) -> PhoneContext {
+        const APPS: [&str; 6] = ["Camera", "Clock", "Log", "Messages", "Telephone", "TomTom"];
+        PhoneContext {
+            running_apps: APPS
+                .iter()
+                .filter(|_| rng.chance(0.4))
+                .map(|a| a.to_string())
+                .collect(),
+            activity: match rng.index(3) {
+                0 => None,
+                1 => Some(ActivityKind::VoiceCall),
+                _ => Some(ActivityKind::Message),
+            },
+            battery_percent: rng.index(101) as u8,
+            battery_low: rng.chance(0.2),
+        }
+    }
+
+    #[test]
+    fn lazy_tick_writes_the_eager_bytes_and_samples_once_per_snapshot() {
+        let mut rng = SimRng::seed_from(0x7a11);
+        for case in 0..300 {
+            let config = LoggerConfig {
+                heartbeat_period: SimDuration::from_secs(30),
+                snapshot_every: 1 + rng.index(12) as u32,
+            };
+            let every = u64::from(config.snapshot_every);
+            let (mut lazy_fs, mut eager_fs) = (FlashFs::new(), FlashFs::new());
+            let mut lazy = FailureLogger::new(config);
+            let mut eager = FailureLogger::new(config);
+            let (mut since_boot, mut snapshots, mut samples) = (0u64, 0u64, 0u64);
+            let ticks = rng.index(80) as u64;
+            for i in 0..=ticks {
+                // The phone state changes between ticks, so a sample
+                // taken on the wrong tick would write different bytes.
+                let ctx = random_ctx(&mut rng);
+                let now = t(30 * i);
+                if i == 0 || rng.chance(0.03) {
+                    lazy.on_boot(&mut lazy_fs, now, &ctx);
+                    eager.on_boot(&mut eager_fs, now, &ctx);
+                    since_boot = 0;
+                    continue;
+                }
+                eager_tick(&mut eager, &mut eager_fs, now, &ctx);
+                lazy.on_tick(&mut lazy_fs, now, || {
+                    samples += 1;
+                    ctx.clone()
+                });
+                since_boot += 1;
+                snapshots += u64::from(since_boot % every == 0);
+                assert_eq!(samples, snapshots, "case {case}, tick {i}, every {every}");
+            }
+            assert_eq!(lazy_fs.file_names(), eager_fs.file_names(), "case {case}");
+            for file in eager_fs.file_names() {
+                assert_eq!(
+                    lazy_fs.read_bytes(file),
+                    eager_fs.read_bytes(file),
+                    "case {case}, file {file}"
+                );
+            }
+            assert_eq!(lazy_fs.bytes_written(), eager_fs.bytes_written());
+        }
     }
 
     #[test]

@@ -110,6 +110,20 @@ mod tests {
         assert_eq!(b.percent(), 100);
     }
 
+    /// Pins a known model gap, left unfixed: the device loop charges
+    /// calls and sessions with `drain(ZERO, duration)`, and because
+    /// active time is clamped to elapsed time those calls drain
+    /// nothing. Fixing it changes the `power` and panic-record flash
+    /// bytes (see DESIGN.md §7.12).
+    #[test]
+    fn active_drain_without_elapsed_time_is_a_no_op() {
+        let mut b = Battery::new();
+        b.drain(SimDuration::from_hours(3), SimDuration::ZERO);
+        let before = b;
+        b.drain(SimDuration::ZERO, SimDuration::from_hours(1));
+        assert_eq!(b, before);
+    }
+
     #[test]
     fn active_time_clamped_to_elapsed() {
         let mut a = Battery::new();

@@ -175,12 +175,7 @@ impl Phone {
     }
 
     fn context(&self, now: SimTime) -> PhoneContext {
-        PhoneContext {
-            running_apps: self.apps.running(),
-            activity: self.logdb.activity_at(now),
-            battery_percent: self.battery.percent(),
-            battery_low: self.battery.is_low(),
-        }
+        sample_context(&self.apps, &self.logdb, &self.battery, now)
     }
 
     /// Advances the heartbeat stream (and battery drain) up to `now`.
@@ -193,8 +188,9 @@ impl Phone {
                         SimDuration::from_secs(self.params.heartbeat_period_secs),
                         SimDuration::ZERO,
                     );
-                    let ctx = self.context(beat_at);
-                    self.logger.on_tick(&mut self.fs, beat_at, &ctx);
+                    self.logger.on_tick(&mut self.fs, beat_at, || {
+                        sample_context(&self.apps, &self.logdb, &self.battery, beat_at)
+                    });
                     self.next_beat =
                         beat_at + SimDuration::from_secs(self.params.heartbeat_period_secs);
                 }
@@ -466,11 +462,7 @@ impl Phone {
 
         // Expand into an executable queue (session ends, call-attached
         // episodes) and process in time order.
-        let mut queue: Vec<(SimTime, Action)> = Vec::new();
-        for (t, action) in actions {
-            queue.push((t, action));
-        }
-        queue.sort_by_key(|(t, _)| *t);
+        let mut queue = actions;
         let mut i = 0;
         while i < queue.len() {
             let (t, action) = queue[i].clone();
@@ -609,6 +601,22 @@ impl Phone {
                 }
             }
         }
+    }
+}
+
+/// Samples the phone state the logger records: running applications,
+/// activity in progress and battery status at `now`.
+fn sample_context(
+    apps: &AppArchServer,
+    logdb: &LogDbServer,
+    battery: &Battery,
+    now: SimTime,
+) -> PhoneContext {
+    PhoneContext {
+        running_apps: apps.running().to_vec(),
+        activity: logdb.activity_at(now),
+        battery_percent: battery.percent(),
+        battery_low: battery.is_low(),
     }
 }
 

@@ -57,9 +57,9 @@ impl AppArchServer {
         self.running.iter().any(|a| a == app)
     }
 
-    /// Sorted snapshot of the running applications.
-    pub fn running(&self) -> Vec<String> {
-        self.running.clone()
+    /// The running applications, sorted, borrowed from the registry.
+    pub fn running(&self) -> &[String] {
+        &self.running
     }
 
     /// Number of running applications.

@@ -47,7 +47,7 @@ fn main() {
     // Scenario 1: normal session ending in a clean user reboot.
     logger.on_boot(&mut fs, t(0), &ctx);
     for i in 1..=3 {
-        logger.on_tick(&mut fs, t(30 * i), &ctx);
+        logger.on_tick(&mut fs, t(30 * i), || ctx.clone());
     }
     logger.on_clean_shutdown(&mut fs, t(100), ShutdownKind::Reboot);
     logger.on_boot(&mut fs, t(190), &ctx);
@@ -68,7 +68,7 @@ fn main() {
     );
 
     // Scenario 3: low battery.
-    logger.on_tick(&mut fs, t(372), &ctx);
+    logger.on_tick(&mut fs, t(372), || ctx.clone());
     logger.on_clean_shutdown(&mut fs, t(400), ShutdownKind::LowBattery);
     logger.on_boot(&mut fs, t(4000), &ctx);
     dump(
@@ -77,8 +77,8 @@ fn main() {
     );
 
     // Scenario 4: freeze. The heartbeat just stops; no final event.
-    logger.on_tick(&mut fs, t(4030), &ctx);
-    logger.on_tick(&mut fs, t(4060), &ctx);
+    logger.on_tick(&mut fs, t(4030), || ctx.clone());
+    logger.on_tick(&mut fs, t(4060), || ctx.clone());
     // ... the phone is frozen here; the user pulls the battery ...
     logger.on_boot(&mut fs, t(4500), &ctx);
     dump(
