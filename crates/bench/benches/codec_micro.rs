@@ -1,13 +1,16 @@
 //! Micro-benchmarks of the log codec: MB/s through the zero-copy
 //! decoder vs the owned-String oracle, and the append-into-buffer
 //! encoders vs the `format!`-based originals, on clean and
-//! worst-corruption inputs.
+//! worst-corruption inputs — plus the worst-profile corruption
+//! injector on one phone-sized harvest.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use symfail_core::flashfs::FlashFs;
 use symfail_core::logger::files;
 use symfail_core::records::{BootRecord, HeartbeatEvent, LogRecord, PanicRecord, RecordRef};
+use symfail_phone::calibration::CalibrationParams;
 use symfail_phone::corruption::{CorruptionModel, CorruptionProfile};
+use symfail_phone::fleet::FleetCampaign;
 use symfail_sim_core::{SimDuration, SimRng, SimTime};
 use symfail_symbian::panic::codes;
 use symfail_symbian::servers::logdb::ActivityKind;
@@ -121,6 +124,24 @@ fn bench(c: &mut Criterion) {
                 total += r.encode().len() + 1;
             }
             black_box(total)
+        })
+    });
+
+    // The worst-profile injector on phone 0 of the default campaign
+    // (425 days). Each iteration damages a fresh clone of the clean
+    // harvest, so `inject_worst` includes the copy `harvest_clone`
+    // measures alone.
+    let harvest = FleetCampaign::new(2005, CalibrationParams::default())
+        .run_single(0)
+        .flashfs;
+    let model = CorruptionModel::from_profile(CorruptionProfile::Worst);
+    g.throughput(Throughput::Bytes(harvest.total_size()));
+    g.bench_function("harvest_clone", |b| b.iter(|| harvest.clone()));
+    g.bench_function("inject_worst", |b| {
+        b.iter(|| {
+            let mut fs = harvest.clone();
+            model.inject(&mut fs, &mut SimRng::seed_from(9));
+            fs
         })
     });
 

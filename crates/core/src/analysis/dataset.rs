@@ -286,49 +286,10 @@ impl PhoneDataset {
             }
         }
 
-        // Beats: exact `(timestamp, event)` repeats are duplicates and
-        // dropped — checked before the order check, so a duplicated
-        // block is counted as duplication, not also as reordering. The
-        // duplicate set is built lazily: while timestamps strictly
-        // increase (every clean harvest) no set exists at all; the
-        // first non-increasing timestamp materializes it from the
-        // beats kept so far, which are exactly the entries the eager
-        // set would contain.
         let beats_text = lossy_text(fs, files::BEATS, &mut defects);
         let mut beats: Vec<(SimTime, HeartbeatEvent)> = std::mem::take(&mut scratch.beats);
         beats.reserve(beats_text.len() / 12);
-        let mut seen: Option<HashSet<(u64, HeartbeatEvent)>> = None;
-        let mut last_ms: Option<u64> = None;
-        for line in beats_text.lines() {
-            defects.lines_seen += 1;
-            match decode_beat(line) {
-                Ok((at, event)) => {
-                    let ms = at.as_millis();
-                    if seen.is_none() {
-                        if last_ms.is_none_or(|max| ms > max) {
-                            last_ms = Some(ms);
-                            defects.records_kept += 1;
-                            beats.push((at, event));
-                            continue;
-                        }
-                        seen = Some(beats.iter().map(|&(t, e)| (t.as_millis(), e)).collect());
-                    }
-                    let set = seen.as_mut().expect("just materialized");
-                    if !set.insert((ms, event)) {
-                        defects.record(ParseDefect::Duplicate);
-                        continue;
-                    }
-                    if last_ms.is_some_and(|max| ms < max) {
-                        defects.record(ParseDefect::OutOfOrder);
-                    } else {
-                        last_ms = Some(ms);
-                    }
-                    defects.records_kept += 1;
-                    beats.push((at, event));
-                }
-                Err(e) => defects.record(e.defect),
-            }
-        }
+        keep_beats(&beats_text, &mut beats, &mut defects);
 
         defects.unusable = defects.lines_seen > 0 && defects.records_kept == 0;
         let mut ds = Self {
@@ -485,6 +446,67 @@ impl PhoneDataset {
     pub fn defects(&self) -> &PhoneDefects {
         &self.defects
     }
+}
+
+/// Decodes the beats file into `beats` (which must start empty),
+/// classifying malformed lines.
+///
+/// Exact `(timestamp, event)` repeats are duplicates and dropped —
+/// checked before the order check, so a duplicated block is counted as
+/// duplication, not also as reordering. A beat below the running
+/// timestamp maximum is kept but flagged out-of-order; the maximum
+/// does not advance past it, so one displaced block counts each
+/// displaced line exactly once.
+///
+/// No set over the whole file is needed to find repeats. Every kept
+/// beat is at or below the running maximum, so a beat above it cannot
+/// repeat one: every clean harvest takes only that branch. The beats
+/// that advanced or met the maximum form a non-decreasing run, kept in
+/// `beats`, where a repeat is found by binary search over the
+/// equal-timestamp range. Out-of-order beats wait in `displaced`, with
+/// a set over those beats only, and are appended at the end. That
+/// append leaves the indexed order unchanged: `index()` sorts stably,
+/// and in file order every run beat at time `t` precedes every
+/// displaced beat at `t` (a beat is displaced only once the maximum is
+/// above `t`, and every later run beat is at or above that maximum).
+fn keep_beats(text: &str, beats: &mut Vec<(SimTime, HeartbeatEvent)>, defects: &mut PhoneDefects) {
+    debug_assert!(beats.is_empty(), "the run starts empty");
+    let mut displaced: Vec<(SimTime, HeartbeatEvent)> = Vec::new();
+    let mut displaced_seen: HashSet<(u64, HeartbeatEvent)> = HashSet::new();
+    for line in text.lines() {
+        defects.lines_seen += 1;
+        let (at, event) = match decode_beat(line) {
+            Ok(beat) => beat,
+            Err(e) => {
+                defects.record(e.defect);
+                continue;
+            }
+        };
+        // The run's last beat carries the running maximum.
+        match beats.last() {
+            Some(&(max, _)) if at <= max => {
+                let from = beats.partition_point(|&(t, _)| t < at);
+                let in_run = beats[from..]
+                    .iter()
+                    .take_while(|&&(t, _)| t == at)
+                    .any(|&(_, e)| e == event);
+                if in_run || displaced_seen.contains(&(at.as_millis(), event)) {
+                    defects.record(ParseDefect::Duplicate);
+                    continue;
+                }
+                if at < max {
+                    defects.record(ParseDefect::OutOfOrder);
+                    displaced_seen.insert((at.as_millis(), event));
+                    displaced.push((at, event));
+                } else {
+                    beats.push((at, event));
+                }
+            }
+            _ => beats.push((at, event)),
+        }
+        defects.records_kept += 1;
+    }
+    beats.append(&mut displaced);
 }
 
 /// Reads a flash file as text, decoding invalid UTF-8 lossily and
@@ -877,5 +899,132 @@ mod tests {
         let ds = PhoneDataset::from_flashfs(0, &fs);
         assert!(ds.shutdown_events().is_empty());
         assert!(ds.freezes().is_empty());
+    }
+
+    /// The de-duplicator as it was before [`keep_beats`]: a `HashSet`
+    /// of every kept beat, materialized at the first non-increasing
+    /// timestamp. Kept as the equivalence oracle.
+    fn hash_set_keep_beats(
+        text: &str,
+        beats: &mut Vec<(SimTime, HeartbeatEvent)>,
+        defects: &mut PhoneDefects,
+    ) {
+        let mut seen: Option<HashSet<(u64, HeartbeatEvent)>> = None;
+        let mut last_ms: Option<u64> = None;
+        for line in text.lines() {
+            defects.lines_seen += 1;
+            match decode_beat(line) {
+                Ok((at, event)) => {
+                    let ms = at.as_millis();
+                    if seen.is_none() {
+                        if last_ms.is_none_or(|max| ms > max) {
+                            last_ms = Some(ms);
+                            defects.records_kept += 1;
+                            beats.push((at, event));
+                            continue;
+                        }
+                        seen = Some(beats.iter().map(|&(t, e)| (t.as_millis(), e)).collect());
+                    }
+                    let set = seen.as_mut().expect("just materialized");
+                    if !set.insert((ms, event)) {
+                        defects.record(ParseDefect::Duplicate);
+                        continue;
+                    }
+                    if last_ms.is_some_and(|max| ms < max) {
+                        defects.record(ParseDefect::OutOfOrder);
+                    } else {
+                        last_ms = Some(ms);
+                    }
+                    defects.records_kept += 1;
+                    beats.push((at, event));
+                }
+                Err(e) => defects.record(e.defect),
+            }
+        }
+    }
+
+    /// A beats file as damaged flash can leave it: a chronological
+    /// stream with equal-timestamp runs of different events, then
+    /// repeated lines and blocks (near and far), swapped blocks, a
+    /// few malformed lines, and sometimes a full reversal.
+    fn damaged_beats(rng: &mut symfail_sim_core::SimRng) -> Vec<String> {
+        const EVENTS: [HeartbeatEvent; 4] = [
+            HeartbeatEvent::Alive,
+            HeartbeatEvent::Reboot,
+            HeartbeatEvent::ManualOff,
+            HeartbeatEvent::LowBattery,
+        ];
+        let mut ms = rng.index(10_000) as u64;
+        let mut lines: Vec<String> = (0..rng.index(80))
+            .map(|_| {
+                if rng.chance(0.7) {
+                    ms += 1 + rng.index(600_000) as u64;
+                }
+                crate::records::encode_beat(SimTime::from_millis(ms), *rng.choose(&EVENTS))
+            })
+            .collect();
+        let n = lines.len();
+        for _ in 0..rng.index(8) {
+            if n < 2 {
+                break;
+            }
+            let start = rng.index(n - 1);
+            let len = 1 + rng.index((n - start).min(4));
+            match rng.index(4) {
+                0 => {
+                    let block = lines[start..start + len].to_vec();
+                    let at = rng.index(lines.len() + 1);
+                    lines.splice(at..at, block);
+                }
+                1 => {
+                    let block = lines[start..start + len].to_vec();
+                    lines.splice(start + len..start + len, block);
+                }
+                2 => lines[start..start + len].rotate_left(rng.index(len)),
+                _ => lines.insert(start, "12|AL".to_string()),
+            }
+        }
+        if rng.chance(0.2) {
+            lines.reverse();
+        }
+        lines
+    }
+
+    #[test]
+    fn keep_beats_matches_the_hash_set_oracle() {
+        type KeepBeats = fn(&str, &mut Vec<(SimTime, HeartbeatEvent)>, &mut PhoneDefects);
+        fn dataset(keep: KeepBeats, text: &str) -> PhoneDataset {
+            let mut ds = PhoneDataset::default();
+            keep(text, &mut ds.beats, &mut ds.defects);
+            ds.index();
+            ds
+        }
+        let gaps = [0, 1, 300, 960, 3_600, 86_400].map(SimDuration::from_secs);
+        let cases = symfail_sim_core::SimRng::seed_from(0xDED0);
+        for case in 0..400u64 {
+            let lines = damaged_beats(&mut cases.fork("case", case));
+            let mut text = lines.join("\n");
+            if case % 2 == 0 {
+                text.push('\n');
+            }
+            let want = dataset(hash_set_keep_beats, &text);
+            let got = dataset(keep_beats, &text);
+            let mut fs = FlashFs::new();
+            fs.overwrite_raw(files::BEATS, text.clone().into_bytes());
+            let parsed = PhoneDataset::from_flashfs(0, &fs);
+            let mut want_parsed = *want.defects();
+            want_parsed.unusable = want_parsed.lines_seen > 0 && want_parsed.records_kept == 0;
+            for (got, want_defects) in [(&got, want.defects()), (&parsed, &want_parsed)] {
+                assert_eq!(got.beats(), want.beats(), "case {case}: {text:?}");
+                assert_eq!(got.defects(), want_defects, "case {case}: {text:?}");
+                for gap in gaps {
+                    assert_eq!(
+                        got.powered_on_time(gap),
+                        want.powered_on_time(gap),
+                        "case {case}, gap {gap:?}"
+                    );
+                }
+            }
+        }
     }
 }

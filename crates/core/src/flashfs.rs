@@ -90,6 +90,13 @@ impl FlashFs {
         self.files.insert(file.to_string(), bytes);
     }
 
+    /// Mutable raw content of a file (`None` when missing), without
+    /// touching the wear counter — the in-place twin of
+    /// [`Self::overwrite_raw`], for the same damage models.
+    pub fn raw_mut(&mut self, file: &str) -> Option<&mut Vec<u8>> {
+        self.files.get_mut(file)
+    }
+
     /// True when the file exists.
     pub fn exists(&self, file: &str) -> bool {
         self.files.contains_key(file)
@@ -223,5 +230,17 @@ mod tests {
         assert_eq!(fs.bytes_written(), wear, "damage is not a write");
         fs.overwrite_raw("new", b"x\n".to_vec());
         assert!(fs.exists("new"));
+    }
+
+    #[test]
+    fn raw_mut_edits_in_place_without_wear() {
+        let mut fs = FlashFs::new();
+        fs.append_line("log", "ab");
+        let wear = fs.bytes_written();
+        fs.raw_mut("log").unwrap()[0] = b'x';
+        assert_eq!(fs.read_bytes("log").unwrap(), b"xb\n");
+        assert_eq!(fs.bytes_written(), wear, "damage is not a write");
+        assert!(fs.raw_mut("missing").is_none());
+        assert!(!fs.exists("missing"));
     }
 }

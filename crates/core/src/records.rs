@@ -766,16 +766,13 @@ fn is_token_prefix(s: &str) -> bool {
 ///
 /// # Errors
 ///
-/// Returns a [`RecordParseError`] on malformed input. A missing
-/// separator, an unparseable timestamp, or a token that is a proper
-/// prefix of a valid token classify as [`ParseDefect::Truncated`];
-/// any other unrecognized token is [`ParseDefect::UnknownTag`].
-pub fn decode_beat(line: &str) -> Result<(SimTime, HeartbeatEvent), RecordParseError> {
-    let err = |what: &str, defect: ParseDefect| RecordParseError {
-        line: line.to_string(),
-        what: what.to_string(),
-        defect,
-    };
+/// Returns a [`RefParseError`] on malformed input (no allocation: the
+/// parser only reads its `defect`). A missing separator, an
+/// unparseable timestamp, or a token that is a proper prefix of a
+/// valid token classify as [`ParseDefect::Truncated`]; any other
+/// unrecognized token is [`ParseDefect::UnknownTag`].
+pub fn decode_beat(line: &str) -> Result<(SimTime, HeartbeatEvent), RefParseError> {
+    let err = |what: &'static str, defect: ParseDefect| RefParseError { what, defect };
     let (ms, token) = line
         .split_once('|')
         .ok_or_else(|| err("beat", ParseDefect::Truncated))?;
@@ -920,13 +917,22 @@ mod tests {
             let got = decode_beat(&line[..line.len() - cut]).unwrap_err();
             assert_eq!(got.defect, ParseDefect::Truncated, "cut {cut}");
         }
+        let err = |what, defect| RefParseError { what, defect };
         assert_eq!(
-            decode_beat("12|NOPE").unwrap_err().defect,
-            ParseDefect::UnknownTag
+            decode_beat("12|NOPE").unwrap_err(),
+            err("beat event", ParseDefect::UnknownTag)
         );
         assert_eq!(
-            decode_beat("12|").unwrap_err().defect,
-            ParseDefect::Truncated
+            decode_beat("12|").unwrap_err(),
+            err("beat event", ParseDefect::Truncated)
+        );
+        assert_eq!(
+            decode_beat("12").unwrap_err(),
+            err("beat", ParseDefect::Truncated)
+        );
+        assert_eq!(
+            decode_beat("x|ALIVE").unwrap_err(),
+            err("beat timestamp", ParseDefect::Truncated)
         );
     }
 

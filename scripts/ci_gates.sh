@@ -48,6 +48,30 @@ awk -F'[:,]' -v floor="$MBPS_FLOOR" '/"parse_seconds":/ { s = $2 + 0 }
       exit !(mbps >= floor)
     }' stream_250.json >&2
 
+echo "ci_gates: damaged-flash allocation budget (worst vs clean campaign)" >&2
+# Worst-profile corruption may cost at most 64 allocations per phone
+# over the clean campaign: the injector edits a line index over each
+# file's own bytes and never copies a line into a String. The staged
+# pipeline's "campaign" stage is simulation plus injection, without
+# the parse. Allocation counts repeat exactly run to run.
+ALLOC_PHONES=25
+for c in none worst; do
+    "$BIN" --exp defects --seed "$SEED" --phones "$ALLOC_PHONES" --days 425 \
+        --workers 1 --pipeline staged --corruption "$c" \
+        --timing-json "allocs_$c.json" > /dev/null
+done
+campaign_allocs() {
+    awk -F'"allocs": ' '/"stage": "campaign"/ { split($2, a, ","); print a[1] }' "$1"
+}
+clean_allocs="$(campaign_allocs allocs_none.json)"
+worst_allocs="$(campaign_allocs allocs_worst.json)"
+alloc_limit=$((clean_allocs + 64 * ALLOC_PHONES))
+echo "ci_gates: campaign allocs: clean $clean_allocs, worst $worst_allocs (limit $alloc_limit)" >&2
+if [ "$worst_allocs" -gt "$alloc_limit" ]; then
+    echo "ci_gates: worst corruption exceeds the per-phone allocation budget" >&2
+    exit 1
+fi
+
 echo "ci_gates: checkpoint interrupt/resume byte identity (kill at phone 97)" >&2
 "$BIN" --exp all --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
     --engine streaming --corruption worst --workers "$WORKERS" \
