@@ -5,6 +5,7 @@
 //! injector on one phone-sized harvest.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use symfail_core::analysis::dataset::{ParseScratch, PhoneDataset};
 use symfail_core::flashfs::FlashFs;
 use symfail_core::logger::files;
 use symfail_core::records::{BootRecord, HeartbeatEvent, LogRecord, PanicRecord, RecordRef};
@@ -137,6 +138,17 @@ fn bench(c: &mut Criterion) {
     let model = CorruptionModel::from_profile(CorruptionProfile::Worst);
     g.throughput(Throughput::Bytes(harvest.total_size()));
     g.bench_function("harvest_clone", |b| b.iter(|| harvest.clone()));
+    // The whole clean harvest parsed into a dataset, with the scratch
+    // buffers recycled as the pipeline's parse workers do.
+    g.bench_function("parse_clean_phone", |b| {
+        let mut scratch = ParseScratch::default();
+        b.iter(|| {
+            let ds = PhoneDataset::from_flashfs_with(0, &harvest, &mut scratch);
+            let beats = ds.beats().len();
+            ds.recycle(&mut scratch);
+            beats
+        })
+    });
     g.bench_function("inject_worst", |b| {
         b.iter(|| {
             let mut fs = harvest.clone();

@@ -3,8 +3,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use symfail_core::flashfs::FlashFs;
-use symfail_core::logger::{FailureLogger, LoggerConfig, PhoneContext};
-use symfail_core::records::LogRecord;
+use symfail_core::logger::{files, FailureLogger, LoggerConfig, PanicDetector, PhoneContext};
+use symfail_core::records::{encode_beat_into, HeartbeatEvent, LogRecord};
 use symfail_sim_core::{EventQueue, SimDuration, SimRng, SimTime};
 use symfail_symbian::descriptor::TBuf;
 use symfail_symbian::heap::Heap;
@@ -80,6 +80,27 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             t += 30;
             logger.on_tick(&mut fs, SimTime::from_secs(t), || ctx.clone());
+        })
+    });
+
+    // The boot-time heartbeat check after a long session: ~1 MB of
+    // beats (about 52k lines, half a year at the 300 s period). It
+    // reads only the last line, so this costs the same at any file
+    // size. The boot record is cleared after each boot to keep the log
+    // file from growing with the iteration count.
+    g.bench_function("boot_after_long_session", |b| {
+        let mut fs = FlashFs::new();
+        let mut at = SimTime::ZERO;
+        while fs.size_of(files::BEATS) < 1 << 20 {
+            fs.append_line_with(files::BEATS, |buf| {
+                encode_beat_into(buf, at, HeartbeatEvent::Alive)
+            });
+            at += SimDuration::from_secs(300);
+        }
+        let mut detector = PanicDetector::new();
+        b.iter(|| {
+            detector.on_boot(&mut fs, at);
+            fs.truncate(files::LOG);
         })
     });
 

@@ -25,7 +25,7 @@ use crate::intern::{NameId, NameIds, NameTable};
 use crate::logger::files;
 use crate::records::{
     decode_beat, BootRecord, HeartbeatEvent, LogRecord, PanicRecord, PanicRef, ParseDefect,
-    RecordRef,
+    RecordRef, RefParseError,
 };
 
 /// A panic with its context as stored in the dataset: the hot-path
@@ -473,9 +473,9 @@ fn keep_beats(text: &str, beats: &mut Vec<(SimTime, HeartbeatEvent)>, defects: &
     debug_assert!(beats.is_empty(), "the run starts empty");
     let mut displaced: Vec<(SimTime, HeartbeatEvent)> = Vec::new();
     let mut displaced_seen: HashSet<(u64, HeartbeatEvent)> = HashSet::new();
-    for line in text.lines() {
+    for decoded in (BeatLines { rest: text }) {
         defects.lines_seen += 1;
-        let (at, event) = match decode_beat(line) {
+        let (at, event) = match decoded {
             Ok(beat) => beat,
             Err(e) => {
                 defects.record(e.defect);
@@ -509,14 +509,88 @@ fn keep_beats(text: &str, beats: &mut Vec<(SimTime, HeartbeatEvent)>, defects: &
     beats.append(&mut displaced);
 }
 
+/// The decoded lines of a beats file: `text.lines().map(decode_beat)`
+/// in one pass over the bytes.
+///
+/// A well-formed beat — 1 to 19 digits (always within `u64`), `|`, a
+/// whole token, then `\n` or the end of input — is decoded in place,
+/// and on exactly those lines [`decode_beat`] returns the same `Ok`.
+/// Any other line is cut with `str::lines` rules (a `\r` before the
+/// `\n` is dropped, a bare final `\r` kept) and handed to
+/// [`decode_beat`], which classifies every defect.
+struct BeatLines<'a> {
+    rest: &'a str,
+}
+
+impl Iterator for BeatLines<'_> {
+    type Item = Result<(SimTime, HeartbeatEvent), RefParseError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.rest.is_empty() {
+            return None;
+        }
+        if let Some((beat, len)) = well_formed_beat(self.rest.as_bytes()) {
+            self.rest = &self.rest[len..];
+            return Some(Ok(beat));
+        }
+        let (line, len) = match self.rest.find('\n') {
+            Some(nl) => {
+                let line = &self.rest[..nl];
+                (line.strip_suffix('\r').unwrap_or(line), nl + 1)
+            }
+            None => (self.rest, self.rest.len()),
+        };
+        self.rest = &self.rest[len..];
+        Some(decode_beat(line))
+    }
+}
+
+/// The beat a well-formed line at the head of `bytes` encodes, and the
+/// bytes it takes up with its `\n`; `None` for any other line.
+fn well_formed_beat(bytes: &[u8]) -> Option<((SimTime, HeartbeatEvent), usize)> {
+    let digits = bytes
+        .iter()
+        .take(20)
+        .take_while(|b| b.is_ascii_digit())
+        .count();
+    if !(1..=19).contains(&digits) || bytes.get(digits) != Some(&b'|') {
+        return None;
+    }
+    let ms = bytes[..digits]
+        .iter()
+        .fold(0u64, |ms, &d| ms * 10 + u64::from(d - b'0'));
+    let event = match bytes.get(digits + 1)? {
+        b'A' => HeartbeatEvent::Alive,
+        b'R' => HeartbeatEvent::Reboot,
+        b'M' => HeartbeatEvent::ManualOff,
+        b'L' => HeartbeatEvent::LowBattery,
+        _ => return None,
+    };
+    let end = digits + 1 + event.token().len();
+    if bytes.get(digits + 1..end)? != event.token().as_bytes() {
+        return None;
+    }
+    let len = match bytes.get(end) {
+        None => end,
+        Some(b'\n') => end + 1,
+        Some(_) => return None,
+    };
+    Some(((SimTime::from_millis(ms), event), len))
+}
+
 /// Reads a flash file as text, decoding invalid UTF-8 lossily and
 /// flagging it, so garbled bytes degrade to replacement characters
-/// (and checksum mismatches) instead of a panic.
+/// (and checksum mismatches) instead of a panic. Valid flash — every
+/// clean harvest — is borrowed after one validating pass.
 fn lossy_text<'a>(fs: &'a FlashFs, file: &str, defects: &mut PhoneDefects) -> Cow<'a, str> {
     let raw = fs.read_bytes(file).unwrap_or(&[]);
-    let text = String::from_utf8_lossy(raw);
-    defects.invalid_utf8 |= matches!(text, Cow::Owned(_));
-    text
+    match std::str::from_utf8(raw) {
+        Ok(text) => Cow::Borrowed(text),
+        Err(_) => {
+            defects.invalid_utf8 = true;
+            String::from_utf8_lossy(raw)
+        }
+    }
 }
 
 /// The whole fleet's harvested data plus fleet-wide event indexes.
@@ -901,9 +975,10 @@ mod tests {
         assert!(ds.freezes().is_empty());
     }
 
-    /// The de-duplicator as it was before [`keep_beats`]: a `HashSet`
-    /// of every kept beat, materialized at the first non-increasing
-    /// timestamp. Kept as the equivalence oracle.
+    /// The beat reader as it was before [`keep_beats`]: `text.lines()`
+    /// through [`decode_beat`], and a `HashSet` of every kept beat,
+    /// materialized at the first non-increasing timestamp. Kept as the
+    /// equivalence oracle.
     fn hash_set_keep_beats(
         text: &str,
         beats: &mut Vec<(SimTime, HeartbeatEvent)>,
@@ -990,6 +1065,53 @@ mod tests {
         lines
     }
 
+    /// [`damaged_beats`] as raw flash bytes. With `shaped`, about half
+    /// the lines also take a shape the beat reader's fast path must
+    /// hand to [`decode_beat`]: a sign, a 19/20-digit timestamp, `\r\n`
+    /// or a bare `\r`, junk after the token, a token prefix, an empty
+    /// line, invalid UTF-8. The file may lack its final newline or end
+    /// in a bare `\r`.
+    fn raw_beats(rng: &mut symfail_sim_core::SimRng, shaped: bool) -> Vec<u8> {
+        const REPLACEMENTS: [&[u8]; 8] = [
+            b"9999999999999999999|ALIVE",
+            b"18446744073709551615|REBOOT",
+            b"18446744073709551616|ALIVE",
+            b"00000000000000000042|MAOFF",
+            b"",
+            b"77|LOWB",
+            b"77|",
+            b"|ALIVE",
+        ];
+        const JUNK: [&[u8]; 4] = [b"X", b"|c1234", b" ", b"\rX"];
+        const INVALID_UTF8: [&[u8]; 3] = [b"\xff", b"\xe2\x82", b"\xc3"];
+        let mut raw = Vec::new();
+        for line in damaged_beats(rng) {
+            let mut line = line.into_bytes();
+            match if shaped { rng.index(12) } else { 12 } {
+                0 => line.insert(0, b'+'),
+                1 => line.push(b'\r'),
+                2 => line.extend_from_slice(JUNK[rng.index(JUNK.len())]),
+                3 => line.truncate(rng.index(line.len() + 1)),
+                4 => {
+                    let at = rng.index(line.len() + 1);
+                    line.splice(at..at, rng.choose(&INVALID_UTF8).iter().copied());
+                }
+                5 => line = rng.choose(&REPLACEMENTS).to_vec(),
+                _ => {}
+            }
+            raw.extend_from_slice(&line);
+            raw.push(b'\n');
+        }
+        match rng.index(3) {
+            0 => {
+                raw.pop();
+            }
+            1 => raw.push(b'\r'),
+            _ => {}
+        }
+        raw
+    }
+
     #[test]
     fn keep_beats_matches_the_hash_set_oracle() {
         type KeepBeats = fn(&str, &mut Vec<(SimTime, HeartbeatEvent)>, &mut PhoneDefects);
@@ -1001,18 +1123,21 @@ mod tests {
         }
         let gaps = [0, 1, 300, 960, 3_600, 86_400].map(SimDuration::from_secs);
         let cases = symfail_sim_core::SimRng::seed_from(0xDED0);
-        for case in 0..400u64 {
-            let lines = damaged_beats(&mut cases.fork("case", case));
-            let mut text = lines.join("\n");
-            if case % 2 == 0 {
-                text.push('\n');
-            }
+        for case in 0..800u64 {
+            let raw = raw_beats(&mut cases.fork("case", case), case % 2 == 1);
+            let text = String::from_utf8_lossy(&raw);
+            assert_eq!(
+                BeatLines { rest: &text }.collect::<Vec<_>>(),
+                text.lines().map(decode_beat).collect::<Vec<_>>(),
+                "case {case}: {text:?}"
+            );
             let want = dataset(hash_set_keep_beats, &text);
             let got = dataset(keep_beats, &text);
             let mut fs = FlashFs::new();
-            fs.overwrite_raw(files::BEATS, text.clone().into_bytes());
+            fs.overwrite_raw(files::BEATS, raw.clone());
             let parsed = PhoneDataset::from_flashfs(0, &fs);
             let mut want_parsed = *want.defects();
+            want_parsed.invalid_utf8 = std::str::from_utf8(&raw).is_err();
             want_parsed.unusable = want_parsed.lines_seen > 0 && want_parsed.records_kept == 0;
             for (got, want_defects) in [(&got, want.defects()), (&parsed, &want_parsed)] {
                 assert_eq!(got.beats(), want.beats(), "case {case}: {text:?}");

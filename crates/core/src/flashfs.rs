@@ -71,9 +71,28 @@ impl FlashFs {
             .lines()
     }
 
-    /// The last line of `file`, if the file exists and is non-empty.
+    /// The last line of `file`, if the file exists and is non-empty —
+    /// the same line as `read_lines(file).last()`.
+    ///
+    /// Only the tail is read: the line is found backwards from the end
+    /// of the buffer with `str::lines` rules (one final `\n` ends the
+    /// last line and takes a `\r` before it along; a bare final `\r`
+    /// stays) and only that line is UTF-8 validated. The boot-time
+    /// heartbeat check calls this on a file that grows for the whole
+    /// campaign, so its cost no longer grows with the file.
     pub fn last_line(&self, file: &str) -> Option<&str> {
-        self.read_lines(file).last()
+        let bytes = self.files.get(file)?.as_slice();
+        let (&last, init) = bytes.split_last()?;
+        let line = if last == b'\n' {
+            init.strip_suffix(b"\r").unwrap_or(init)
+        } else {
+            bytes
+        };
+        let start = line
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |nl| nl + 1);
+        Some(std::str::from_utf8(&line[start..]).expect("flashfs content is UTF-8"))
     }
 
     /// Raw content of a file as bytes (borrowed; no copy).
@@ -158,6 +177,27 @@ mod tests {
         let lines: Vec<&str> = fs.read_lines("log").collect();
         assert_eq!(lines, vec!["a", "b"]);
         assert_eq!(fs.last_line("log"), Some("b"));
+    }
+
+    #[test]
+    fn last_line_matches_the_last_of_read_lines() {
+        let fixed: [&str; 12] = [
+            "", "\n", "\n\n", "\r", "\r\n", "a\r\n", "a\r", "a\r\r\n", "a\n\r", "a\n\r\n", "a\nb",
+            "a\n\nb\n",
+        ];
+        let mut rng = symfail_sim_core::SimRng::seed_from(0x1a57);
+        let random = (0..2000).map(|_| {
+            let len = rng.index(12);
+            (0..len)
+                .map(|_| *rng.choose(&["a", "é", "|", "\r", "\n", "\r\n"]))
+                .collect::<String>()
+        });
+        let mut fs = FlashFs::new();
+        for text in fixed.iter().map(|s| s.to_string()).chain(random) {
+            fs.overwrite_raw("f", text.as_bytes().to_vec());
+            assert_eq!(fs.last_line("f"), fs.read_lines("f").last(), "{text:?}");
+        }
+        assert_eq!(fs.last_line("missing"), None);
     }
 
     #[test]

@@ -148,6 +148,24 @@ mod tests {
     }
 
     #[test]
+    fn boot_reads_only_the_last_beat() {
+        // Invalid UTF-8 anywhere before the last line: a whole-file
+        // read would panic, the boot check must not even look at it.
+        let mut fs = FlashFs::new();
+        let raw = b"100000|ALIVE\n\xff\xfe|ALIVE\n300000|MAOFF\n";
+        fs.overwrite_raw(files::BEATS, raw.to_vec());
+        let mut pd = PanicDetector::new();
+        pd.on_boot(&mut fs, SimTime::from_secs(500));
+        match LogRecord::decode(fs.last_line(files::LOG).unwrap()).unwrap() {
+            LogRecord::Boot(b) => {
+                assert_eq!(b.last_event, HeartbeatEvent::ManualOff);
+                assert_eq!(b.off_duration.unwrap().as_secs(), 200);
+            }
+            _ => panic!("expected boot record"),
+        }
+    }
+
+    #[test]
     fn panic_recording_counts() {
         let mut fs = FlashFs::new();
         let mut pd = PanicDetector::new();

@@ -125,19 +125,37 @@ pub fn line_checksum_bytes(payload: &[u8]) -> u16 {
     ((h ^ (h >> 16) ^ (h >> 32) ^ (h >> 48)) & 0xffff) as u16
 }
 
+/// `"00" "01" … "99"`: the two decimal digits of every value below 100.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
 /// Appends the decimal digits of `v` to `out` — the writer path's
 /// replacement for `format!("{v}")`, allocation- and fmt-machinery
-/// free.
+/// free. Emits two digits per division (a beat timestamp has 10–11).
 pub fn push_u64(out: &mut Vec<u8>, mut v: u64) {
     let mut digits = [0u8; 20];
     let mut i = digits.len();
-    loop {
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        digits[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        i -= 2;
+        digits[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
         i -= 1;
-        digits[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+        digits[i] = b'0' + v as u8;
     }
     out.extend_from_slice(&digits[i..]);
 }
@@ -1001,10 +1019,20 @@ mod tests {
 
     #[test]
     fn push_u64_matches_display() {
-        for v in [0, 1, 9, 10, 999, 1_000_000, u64::MAX] {
-            let mut buf = Vec::new();
+        let powers = (0..20).map(|k| 10u64.pow(k));
+        let edges = powers.flat_map(|p| [p - 1, p, p + 1]);
+        let mut rng = symfail_sim_core::SimRng::seed_from(0x0d16);
+        // Random values at every magnitude: shift a full-width draw.
+        let random = (0..10_000).map(|_| {
+            let v = rng.next_u64();
+            v >> (v % 64)
+        });
+        let fixed = [0, 1, 9, 10, 99, 100, 999, 1_000_000, u64::MAX];
+        let mut buf = Vec::new();
+        for v in fixed.into_iter().chain(edges).chain(random) {
+            buf.clear();
             push_u64(&mut buf, v);
-            assert_eq!(buf, v.to_string().into_bytes());
+            assert_eq!(buf, format!("{v}").into_bytes());
         }
     }
 
