@@ -5,13 +5,12 @@
 //! ```text
 //! repro [--exp all|table1|table2|table3|table4|fig2|fig3|fig5|fig6|mtbf|forum_marginals|ablations|targets]
 //!       [--seed N] [--phones N] [--days N] [--workers N] [--sweep]
-//!       [--pipeline fused|staged] [--engine batch|streaming]
 //!       [--analyses all|comma-list]
 //!       [--fleet default|mixed|class:share,...]
 //!       [--corruption none|light|moderate|worst] [--defects-json PATH]
 //!       [--timing-json PATH]
 //!       [--checkpoint PATH] [--checkpoint-every N] [--stop-after N]
-//!       [--mtbf-trace-json PATH] [--merge serial|sharded] [--run-len N]
+//!       [--mtbf-trace-json PATH] [--run-len N]
 //!       [--shard i/N] [--balance uniform|static|measured]
 //!       [--costs-json PATH]
 //! repro merge-checkpoints OUT IN1 IN2 ... [--seed N] [--phones N]
@@ -31,26 +30,29 @@
 //! The default runs the full 25-phone / 14-month campaign plus the
 //! 533-report forum study and prints every reproduced artifact next to
 //! the paper's numbers. The campaign and the flash parsing run on
-//! `--workers` threads (default: all available cores); the harvest is
+//! `--workers` threads (default: all available cores); the report is
 //! byte-identical for any worker count — including under
 //! `--corruption`, which injects deterministic flash-log damage
 //! (truncation, tail loss, bit-flips, duplicated/reordered heartbeat
-//! blocks) per phone before parsing. `--pipeline fused` (the default)
-//! removes the campaign→parse barrier: each worker parses a phone's
-//! flash right after simulating it; `--pipeline staged` keeps the two
-//! stages separate, which is what isolates parse wall-clock for
-//! throughput measurement. `--engine streaming` goes further: each
-//! worker folds every analysis pass over the phone's dataset and drops
-//! both the flash and the dataset before taking the next phone, so no
-//! fleet dataset is ever materialized — the report stays
-//! byte-identical to `--engine batch` for any worker count.
-//! `--analyses` restricts the pass registry to a comma-list of pass
-//! names. `--defects-json` dumps the fleet parse-defect report;
-//! `--timing-json` writes per-stage wall-clock timings plus
-//! allocation (cumulative and peak-live) and parse-throughput
-//! counters to the given path.
+//! blocks) per phone before parsing.
 //!
-//! The streaming engine supports checkpointed campaigns:
+//! The experiment picks the path; no flag does. Every experiment but
+//! two streams: each worker simulates a run of phones, parses each
+//! phone's flash, folds every analysis pass over the phone's dataset
+//! and drops both before the next phone, so no fleet dataset is ever
+//! materialized. `ablations` and `fig5 --sweep` re-walk the whole
+//! fleet dataset, so they take the staged path instead: the whole
+//! campaign, then the parallel parse, then the report, timed as the
+//! `campaign`, `parse` and `report` stages. Both paths render the same
+//! report bytes. `--analyses` restricts the pass registry to a
+//! comma-list of pass names. `--defects-json` dumps the fleet
+//! parse-defect report; `--timing-json` writes per-stage wall-clock
+//! timings plus allocation (cumulative and peak-live) and
+//! parse-throughput counters to the given path
+//! (`symfail-pipeline-timing/8`, whose `engine` field names the path
+//! the experiment took).
+//!
+//! Streamed experiments support checkpointed campaigns:
 //! `--checkpoint PATH` snapshots the merged accumulators to PATH
 //! (atomic write-rename) every `--checkpoint-every N` absorbed phones
 //! and once at the end; if PATH already holds a checkpoint for the
@@ -59,13 +61,12 @@
 //! (after flushing the checkpoint) — the crash half of an
 //! interrupt/resume test. `--mtbf-trace-json PATH` records the online
 //! MTBFr/MTBS estimate at every checkpoint boundary; its final entry
-//! equals the batch engine's estimate exactly.
-//!
-//! `--merge sharded` (the streaming default) folds contiguous runs of
-//! phones into per-worker shards and hands each shard to the merger in
-//! one lock acquisition; `--merge serial` keeps the per-phone oracle
-//! path. `--run-len N` caps the phones per shard (0 = auto). Both
-//! modes render byte-identical reports.
+//! equals the whole-fleet estimate exactly. `--run-len N` caps the
+//! phones a worker folds before it hands the run to the merger in one
+//! lock acquisition (0 = auto, 1 = every phone on its own); every run
+//! length renders the same bytes. The staged experiments refuse these
+//! flags, and `--shard` and `--balance`, with a message naming the
+//! experiment.
 //!
 //! `--shard i/N` makes the process simulate and fold only shard `i`
 //! of an `N`-way split of the phone-id space (per-phone RNG forks are
@@ -100,7 +101,7 @@
 //! campaign, config and registry; intervals disjoint and jointly
 //! covering the fleet), tree-merges them, writes the merged
 //! whole-fleet checkpoint to `out.bin`, and prints the same report a
-//! single-process `--exp all --engine streaming` run prints — byte
+//! single-process `--exp all` run prints — byte
 //! for byte, for any N and any partition. `--partial` downgrades the
 //! jointly-covering requirement: a best-effort report is rendered
 //! from whatever shards are present, with every missing phone
@@ -126,14 +127,12 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use symfail_core::analysis::bursts::BurstAnalysis;
 use symfail_core::analysis::checkpoint::ShardTopology;
 use symfail_core::analysis::dataset::FleetDataset;
 use symfail_core::analysis::mtbf::MtbfAnalysis;
 use symfail_core::analysis::passes::{checkpoint_coalesced, merge_shard_checkpoints};
 use symfail_core::analysis::passes::{merge_shard_checkpoints_partial, MergeStats, PassRegistry};
 use symfail_core::analysis::report::{AnalysisConfig, StudyReport};
-use symfail_core::analysis::shutdown::ShutdownAnalysis;
 use symfail_core::analysis::signature::{
     distinct_signatures, signatures_from_json, signatures_to_json, MatchMode,
 };
@@ -145,7 +144,7 @@ use symfail_phone::calibration::CalibrationParams;
 use symfail_phone::composition::FleetComposition;
 use symfail_phone::corruption::CorruptionProfile;
 use symfail_phone::fleet::{
-    harvest_metas, FleetCampaign, MergeMode, PhoneMeta, ShardSpec, StreamingOptions, WorkerStats,
+    harvest_metas, FleetCampaign, PhoneMeta, ShardSpec, StreamingOptions, WorkerStats,
 };
 use symfail_phone::plan::{BalanceMode, ShardPlan};
 use symfail_phone::repro::{extract_fleet_signatures, minimize, MinimizeOptions};
@@ -156,7 +155,7 @@ use symfail_sim_core::SimDuration;
 /// pipeline stage, which is the direct evidence for the zero-copy
 /// codec (the parse stage's allocs scale with distinct names, not with
 /// records) — and track the **live/peak** footprint, which is the
-/// direct evidence for the streaming engine (peak stays bounded by
+/// direct evidence for the streaming path (peak stays bounded by
 /// `workers × per-phone state` instead of the whole fleet).
 struct CountingAlloc;
 
@@ -237,42 +236,6 @@ fn alloc_peak() -> u64 {
     ALLOC_PEAK.load(Ordering::Relaxed)
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pipeline {
-    Fused,
-    Staged,
-}
-
-impl Pipeline {
-    fn as_str(self) -> &'static str {
-        match self {
-            Pipeline::Fused => "fused",
-            Pipeline::Staged => "staged",
-        }
-    }
-}
-
-/// How the analysis layer consumes the campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Engine {
-    /// Materialize the whole [`FleetDataset`], then run the pass
-    /// registry over it (the oracle path).
-    Batch,
-    /// Fold each phone's dataset into the pass accumulators as soon as
-    /// it is parsed, dropping the flash and the dataset before the
-    /// worker takes the next phone — no fleet is ever materialized.
-    Streaming,
-}
-
-impl Engine {
-    fn as_str(self) -> &'static str {
-        match self {
-            Engine::Batch => "batch",
-            Engine::Streaming => "streaming",
-        }
-    }
-}
-
 /// Which cost model the shard planner balances on (the CLI-facing
 /// selector; [`BalanceMode`] carries the resolved cost vector).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -303,8 +266,6 @@ struct Args {
     days: u32,
     workers: usize,
     sweep: bool,
-    pipeline: Pipeline,
-    engine: Engine,
     analyses: String,
     corruption: CorruptionProfile,
     fleet: FleetComposition,
@@ -314,11 +275,20 @@ struct Args {
     checkpoint_every: u32,
     stop_after: Option<u32>,
     mtbf_trace_json: Option<String>,
-    merge: MergeMode,
     run_len: u32,
     shard: Option<ShardSpec>,
     balance: Balance,
     costs_json: Option<String>,
+}
+
+impl Args {
+    /// Whether the experiment walks the materialized fleet dataset —
+    /// `ablations` and `fig5 --sweep` re-run the coalescence window
+    /// sweep over every phone — and so takes the staged path; every
+    /// other experiment streams.
+    fn staged(&self) -> bool {
+        self.exp == "ablations" || (self.exp == "fig5" && self.sweep)
+    }
 }
 
 fn default_workers() -> usize {
@@ -335,8 +305,6 @@ fn parse_args() -> Result<Args, String> {
         days: 425,
         workers: default_workers(),
         sweep: false,
-        pipeline: Pipeline::Fused,
-        engine: Engine::Batch,
         analyses: "all".to_string(),
         corruption: CorruptionProfile::None,
         fleet: FleetComposition::default(),
@@ -346,14 +314,11 @@ fn parse_args() -> Result<Args, String> {
         checkpoint_every: 0,
         stop_after: None,
         mtbf_trace_json: None,
-        merge: MergeMode::default(),
         run_len: 0,
         shard: None,
         balance: Balance::default(),
         costs_json: None,
     };
-    let mut pipeline_set = false;
-    let mut merge_set = false;
     let mut balance_set = false;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -385,25 +350,6 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--workers needs a positive integer")?
             }
             "--sweep" => args.sweep = true,
-            "--pipeline" => {
-                pipeline_set = true;
-                args.pipeline = match it.next().as_deref() {
-                    Some("fused") => Pipeline::Fused,
-                    Some("staged") => Pipeline::Staged,
-                    other => {
-                        return Err(format!("--pipeline needs fused or staged, got {other:?}"))
-                    }
-                }
-            }
-            "--engine" => {
-                args.engine = match it.next().as_deref() {
-                    Some("batch") => Engine::Batch,
-                    Some("streaming") => Engine::Streaming,
-                    other => {
-                        return Err(format!("--engine needs batch or streaming, got {other:?}"))
-                    }
-                }
-            }
             "--analyses" => args.analyses = it.next().ok_or("--analyses needs a comma-list")?,
             "--fleet" => {
                 let spec = it.next().ok_or("--fleet needs a composition spec")?;
@@ -439,14 +385,6 @@ fn parse_args() -> Result<Args, String> {
             "--mtbf-trace-json" => {
                 args.mtbf_trace_json = Some(it.next().ok_or("--mtbf-trace-json needs a path")?)
             }
-            "--merge" => {
-                merge_set = true;
-                args.merge = match it.next().as_deref() {
-                    Some("serial") => MergeMode::Serial,
-                    Some("sharded") => MergeMode::Sharded,
-                    other => return Err(format!("--merge needs serial or sharded, got {other:?}")),
-                }
-            }
             "--run-len" => {
                 args.run_len = it
                     .next()
@@ -466,14 +404,13 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(format!(
                     "usage: repro [--exp NAME] [--seed N] [--phones N] [--days N] \
-                     [--workers N] [--sweep] [--pipeline fused|staged] \
-                     [--engine batch|streaming] [--analyses LIST] \
+                     [--workers N] [--sweep] [--analyses LIST] \
                      [--fleet default|mixed|class:share,...] \
                      [--corruption none|light|moderate|worst] \
                      [--defects-json PATH] [--timing-json PATH] \
                      [--checkpoint PATH] [--checkpoint-every N] \
                      [--stop-after N] [--mtbf-trace-json PATH] \
-                     [--merge serial|sharded] [--run-len N] [--shard i/N] \
+                     [--run-len N] [--shard i/N] \
                      [--balance uniform|static|measured] [--costs-json PATH]\n\
                      \x20      repro merge-checkpoints OUT IN1 IN2 ... \
                      [--seed N] [--phones N] [--days N] \
@@ -488,8 +425,9 @@ fn parse_args() -> Result<Args, String> {
                      [--signature-index I] [--max-days N] [--max-seeds N] \
                      [--match core|strict] [--start-corruption PROFILE] \
                      [--out PATH]\n\
-                     checkpoint/stop/trace/merge/shard/balance flags need \
-                     --engine streaming\n\
+                     ablations and fig5 --sweep take the staged path and \
+                     refuse the checkpoint/stop/trace/run-len/shard/balance \
+                     flags; every other experiment streams\n\
                      --analyses takes a comma-list of pass names \
                      (default all): {}",
                     PassRegistry::NAMES.join(",")
@@ -498,25 +436,24 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if args.engine == Engine::Streaming {
-        if pipeline_set && args.pipeline == Pipeline::Staged {
-            return Err("--engine streaming implies the fused pipeline; \
-                        drop --pipeline staged"
-                .to_string());
+    if args.staged() {
+        let streaming_only = [
+            ("--checkpoint", args.checkpoint.is_some()),
+            ("--checkpoint-every", args.checkpoint_every > 0),
+            ("--stop-after", args.stop_after.is_some()),
+            ("--mtbf-trace-json", args.mtbf_trace_json.is_some()),
+            ("--run-len", args.run_len > 0),
+            ("--shard", args.shard.is_some()),
+            ("--balance", balance_set),
+        ];
+        if let Some((flag, _)) = streaming_only.iter().find(|(_, set)| *set) {
+            return Err(format!(
+                "--exp {}{} walks the materialized fleet dataset and cannot take {flag}, \
+                 which applies only to streamed experiments",
+                args.exp,
+                if args.sweep { " --sweep" } else { "" }
+            ));
         }
-        args.pipeline = Pipeline::Fused;
-    } else if args.checkpoint.is_some()
-        || args.checkpoint_every > 0
-        || args.stop_after.is_some()
-        || args.mtbf_trace_json.is_some()
-    {
-        return Err("--checkpoint, --checkpoint-every, --stop-after and \
-                    --mtbf-trace-json need --engine streaming"
-            .to_string());
-    } else if merge_set || args.run_len > 0 || args.shard.is_some() || balance_set {
-        return Err(
-            "--merge, --run-len, --shard and --balance need --engine streaming".to_string(),
-        );
     }
     if args.balance == Balance::Measured && args.costs_json.is_none() {
         return Err("--balance measured needs --costs-json PATH".to_string());
@@ -556,10 +493,10 @@ fn balance_mode(
 }
 
 /// Reads the `phone_costs` array from a prior run's `--timing-json`
-/// file (schema v7). The file must come from an *unsharded* run of
-/// the same fleet size: `phone_cost_start` must be 0 and the vector
-/// must cover every phone, otherwise the planner would balance on a
-/// partial view.
+/// file (schema v7 or later). The file must come from an *unsharded*
+/// run of the same fleet size: `phone_cost_start` must be 0 and the
+/// vector must cover every phone, otherwise the planner would balance
+/// on a partial view.
 fn read_costs_json(path: &str, phones: u32) -> Result<Vec<f64>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let start = json_u64_field(&text, "phone_cost_start").ok_or(format!(
@@ -618,8 +555,7 @@ struct StageTiming {
 
 /// A fully-run campaign: per-phone metadata, the analysis report, and
 /// the per-stage timing/allocation record. The materialized fleet
-/// dataset exists only under `--engine batch`; the streaming engine
-/// never builds it.
+/// dataset exists only on the staged path; streaming never builds it.
 struct CampaignRun {
     report: StudyReport,
     fleet: Option<FleetDataset>,
@@ -628,38 +564,37 @@ struct CampaignRun {
     /// Flash bytes fed to the parser (throughput numerator).
     parse_bytes: u64,
     /// Seconds attributable to flash parsing: the parse stage's
-    /// wall-clock under `--pipeline staged`; the per-phone parse time
-    /// summed across workers under `--pipeline fused` (where parse
-    /// wall-clock overlaps simulation by design).
+    /// wall-clock on the staged path; the per-phone parse time summed
+    /// across workers when streaming (where parse wall-clock overlaps
+    /// simulation by design).
     parse_seconds: f64,
     /// Flash bytes freed phone-by-phone instead of living for the
-    /// whole run (fused/streaming pipelines; zero under staged).
+    /// whole run (streaming; zero on the staged path).
     reclaimed_flash_bytes: u64,
     /// Online MTBF estimates at each checkpoint boundary (streaming
-    /// engine with `--mtbf-trace-json`; empty otherwise).
+    /// with `--mtbf-trace-json`; empty otherwise).
     mtbf_trace: Vec<(u32, MtbfAnalysis)>,
     /// Phones already absorbed by the checkpoint this run resumed
     /// from, if any.
     resumed_from: Option<u32>,
-    /// Per-worker parse/merge-wait/allocation counters (streaming
-    /// engine; empty otherwise).
+    /// Per-worker parse/merge-wait/allocation counters (streaming;
+    /// empty otherwise).
     worker_stats: Vec<WorkerStats>,
-    /// Merger-side shard counters (streaming engine; zero otherwise).
+    /// Merger-side shard counters (streaming; zero otherwise).
     merge_stats: MergeStats,
     /// Measured per-phone parse seconds, aligned with `metas`
-    /// (streaming engine; empty otherwise).
+    /// (streaming; empty otherwise).
     phone_parse_seconds: Vec<f64>,
     /// The shard interval this run actually folded (solo when
     /// unsharded).
     topology: ShardTopology,
-    /// The full cut table the planner chose (sharded streaming runs
-    /// only).
+    /// The full cut table the planner chose (`--shard` runs only).
     plan: Option<ShardPlan>,
 }
 
-/// Runs the fleet campaign and the analysis pipeline selected by
-/// `--engine` / `--analyses`, timing each stage. Fails only on
-/// checkpoint I/O or validation errors (streaming engine).
+/// Runs the fleet campaign and the `--analyses` passes on the path the
+/// experiment takes ([`Args::staged`]), timing each stage. Fails only
+/// on checkpoint I/O or validation errors (streaming).
 fn run_campaign(args: &Args, registry: &PassRegistry) -> Result<CampaignRun, String> {
     let params = CalibrationParams {
         phones: args.phones,
@@ -685,13 +620,12 @@ fn run_campaign(args: &Args, registry: &PassRegistry) -> Result<CampaignRun, Str
         ..AnalysisConfig::default()
     };
 
-    if args.engine == Engine::Streaming {
+    if !args.staged() {
         let opts = StreamingOptions {
             checkpoint: args.checkpoint.as_ref().map(PathBuf::from),
             checkpoint_every: args.checkpoint_every,
             stop_after_phones: args.stop_after,
             mtbf_trace: args.mtbf_trace_json.is_some(),
-            merge: args.merge,
             run_len: args.run_len,
             alloc_counter: Some(thread_alloc_calls),
             shard: args.shard,
@@ -723,62 +657,24 @@ fn run_campaign(args: &Args, registry: &PassRegistry) -> Result<CampaignRun, Str
         });
     }
 
-    let (metas, fleet, parse_seconds, reclaimed_flash_bytes) = match args.pipeline {
-        Pipeline::Fused => {
-            let (t, a) = (Instant::now(), alloc_now());
-            let fused = campaign.run_fused(args.workers);
-            stage("campaign+parse", t, a);
-            (
-                fused.metas,
-                fused.dataset,
-                fused.parse_cpu_seconds,
-                fused.reclaimed_flash_bytes,
-            )
-        }
-        Pipeline::Staged => {
-            let (t, a) = (Instant::now(), alloc_now());
-            let harvest = campaign.run_parallel(args.workers);
-            stage("campaign", t, a);
-            let (t, a) = (Instant::now(), alloc_now());
-            let flash: Vec<(u32, &FlashFs)> =
-                harvest.iter().map(|h| (h.phone_id, &h.flashfs)).collect();
-            let fleet = FleetDataset::from_flash_parallel(&flash, args.workers);
-            let parse_seconds = t.elapsed().as_secs_f64();
-            stage("parse", t, a);
-            // The flash lived for the whole campaign+parse span: no
-            // early reclaim to report on this path.
-            (harvest_metas(&harvest), fleet, parse_seconds, 0)
-        }
-    };
+    let (t, a) = (Instant::now(), alloc_now());
+    let harvest = campaign.run_parallel(args.workers);
+    stage("campaign", t, a);
+    let (t, a) = (Instant::now(), alloc_now());
+    let flash: Vec<(u32, &FlashFs)> = harvest.iter().map(|h| (h.phone_id, &h.flashfs)).collect();
+    let fleet = FleetDataset::from_flash_parallel(&flash, args.workers);
+    let parse_seconds = t.elapsed().as_secs_f64();
+    stage("parse", t, a);
+    let metas = harvest_metas(&harvest);
+    // The flash lived for the whole campaign+parse span: no early
+    // reclaim to report on this path.
+    drop(harvest);
     let parse_bytes: u64 = metas.iter().map(|m| m.flash_bytes).sum();
-
-    // Individual analysis stages, timed in isolation before the full
-    // report bundles them (the report re-runs them; these measure each
-    // stage's own cost on the indexed dataset).
-    let (t, a) = (Instant::now(), alloc_now());
-    let shutdowns = ShutdownAnalysis::new(&fleet, config.self_shutdown_threshold);
-    stage("shutdown", t, a);
-
-    let hl = symfail_core::analysis::shutdown::merge_hl_events(
-        fleet.freezes(),
-        &shutdowns.self_shutdown_hl_events(),
-    );
-    let (t, a) = (Instant::now(), alloc_now());
-    let _ = coalesce::CoalescenceAnalysis::new(&fleet, &hl, config.coalescence_window);
-    stage("coalescence", t, a);
-
-    let (t, a) = (Instant::now(), alloc_now());
-    let _ = MtbfAnalysis::new(&fleet, shutdowns.self_shutdowns().len(), config.uptime_gap);
-    stage("mtbf", t, a);
-
-    let (t, a) = (Instant::now(), alloc_now());
-    let _ = BurstAnalysis::new(&fleet, config.burst_gap);
-    stage("bursts", t, a);
 
     let (t, a) = (Instant::now(), alloc_now());
     let report =
         StudyReport::analyze_with_labels(&fleet, config, registry, |id| campaign.device_labels(id));
-    stage("report_total", t, a);
+    stage("report", t, a);
 
     Ok(CampaignRun {
         report,
@@ -787,7 +683,7 @@ fn run_campaign(args: &Args, registry: &PassRegistry) -> Result<CampaignRun, Str
         timings,
         parse_bytes,
         parse_seconds,
-        reclaimed_flash_bytes,
+        reclaimed_flash_bytes: 0,
         mtbf_trace: Vec::new(),
         resumed_from: None,
         worker_stats: Vec::new(),
@@ -819,7 +715,9 @@ fn timing_json(args: &Args, run: &CampaignRun) -> String {
     } else {
         0.0
     };
-    let merge_wait_seconds: f64 = run.worker_stats.iter().map(|w| w.merge_wait_seconds).sum();
+    // Folded from +0.0: an empty `sum()` of floats is -0.0, which
+    // would print as "-0.000000" for the staged path.
+    let merge_wait_seconds = (run.worker_stats.iter()).fold(0.0, |s, w| s + w.merge_wait_seconds);
     let worker_alloc_calls: Vec<String> = run
         .worker_stats
         .iter()
@@ -833,7 +731,7 @@ fn timing_json(args: &Args, run: &CampaignRun) -> String {
     // The cut table the planner chose, with the predicted cost per
     // shard and — for the one shard this process actually ran — the
     // measured per-phone parse seconds to calibrate against.
-    let own_measured: f64 = run.phone_parse_seconds.iter().sum();
+    let own_measured = run.phone_parse_seconds.iter().fold(0.0, |s, x| s + x);
     let shard_plan: Vec<String> = run
         .plan
         .iter()
@@ -863,10 +761,9 @@ fn timing_json(args: &Args, run: &CampaignRun) -> String {
         .map(|s| format!("{s:.6}"))
         .collect();
     format!(
-        "{{\n  \"schema\": \"symfail-pipeline-timing/7\",\n  \"seed\": {},\n  \
+        "{{\n  \"schema\": \"symfail-pipeline-timing/8\",\n  \"seed\": {},\n  \
          \"phones\": {},\n  \"days\": {},\n  \"workers\": {},\n  \
-         \"pipeline\": \"{}\",\n  \"engine\": \"{}\",\n  \
-         \"merge\": \"{}\",\n  \"run_len\": {},\n  \
+         \"engine\": \"{}\",\n  \"run_len\": {},\n  \
          \"shard_index\": {},\n  \"shard_count\": {},\n  \
          \"shard_start\": {},\n  \"shard_end\": {},\n  \
          \"balance\": \"{}\",\n  \
@@ -886,9 +783,7 @@ fn timing_json(args: &Args, run: &CampaignRun) -> String {
         args.phones,
         args.days,
         args.workers,
-        args.pipeline.as_str(),
-        args.engine.as_str(),
-        args.merge.as_str(),
+        if args.staged() { "staged" } else { "streaming" },
         args.run_len,
         topology.index,
         topology.count,
@@ -921,7 +816,7 @@ fn timing_json(args: &Args, run: &CampaignRun) -> String {
 
 /// Hand-formats the online-MTBF trace as JSON: one entry per
 /// checkpoint boundary, keyed by phones absorbed, ending with the
-/// whole-fleet estimate (which matches the batch engine exactly).
+/// whole-fleet estimate (which matches the staged path exactly).
 fn mtbf_trace_json(args: &Args, run: &CampaignRun) -> String {
     let entries: Vec<String> = run
         .mtbf_trace
@@ -965,8 +860,8 @@ fn forum_report(seed: u64) -> String {
 /// `repro merge-checkpoints OUT IN1 IN2 ...` — validates and merges
 /// shard checkpoints written by `--shard i/N` processes of the same
 /// campaign, writes the merged whole-fleet checkpoint to OUT, and
-/// prints the report a single-process `--exp all --engine streaming`
-/// run would print, byte for byte. The campaign flags must match the
+/// prints the report a single-process `--exp all` run would print,
+/// byte for byte. The campaign flags must match the
 /// ones the shard processes ran with: they rebuild the fingerprint
 /// and analysis config the inputs are validated against.
 fn merge_checkpoints_cmd(argv: &[String]) -> Result<(), String> {
@@ -1492,17 +1387,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Experiments that walk the materialized fleet dataset cannot run
-    // on the streaming engine, which never builds one.
-    let needs_fleet = args.exp == "ablations" || (args.exp == "fig5" && args.sweep);
-    if needs_fleet && args.engine == Engine::Streaming {
-        eprintln!(
-            "--exp {}{} needs the materialized fleet; run it with --engine batch",
-            args.exp,
-            if args.sweep { " --sweep" } else { "" }
-        );
-        return ExitCode::FAILURE;
-    }
     let needs_campaign = args.exp != "table1" && args.exp != "forum_marginals";
     let run = if needs_campaign {
         match run_campaign(&args, &registry) {
@@ -1618,7 +1502,7 @@ fn main() -> ExitCode {
             // Post-paper extensions: baseline comparison, temporal
             // behaviour, and the user-report channel (future work).
             // All of them run off the report and the per-phone metas —
-            // no materialized fleet — so they work under both engines.
+            // no materialized fleet — so they stream.
             let run = run.as_ref().expect("campaign ran");
             let metas = &run.metas;
             let report = &run.report;
@@ -1632,7 +1516,7 @@ fn main() -> ExitCode {
                 println!("{}", ia.render("freezes + self-shutdowns"));
             }
             // Firmware breakdown comes from the registered `firmware`
-            // pass — logged data folded under either engine — instead
+            // pass — logged data folded like every other pass — instead
             // of the old metas-walking free function.
             print!("{}", report.render_firmware());
             let classes = report.render_device_classes();

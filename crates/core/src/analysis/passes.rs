@@ -23,16 +23,16 @@
 //!   Passes that need strings (running apps) resolve them at fold
 //!   time instead.
 //!
-//! [`StreamMerger`] drives the streaming side: workers push
-//! [`PhoneFolds`] in any order; folds are buffered and absorbed
-//! strictly in phone-id order, so the report is byte-identical for any
-//! worker count — and byte-identical to the batch driver
-//! ([`StudyReport::analyze`]), which runs the *same* passes over a
-//! materialized fleet with an identity remap. Peak memory of the
-//! streaming engine is `workers × per-phone state` plus the folded
-//! summaries; flash bytes and datasets are dropped phone by phone.
+//! [`StreamMerger`] drives the streaming side: folds pushed in any
+//! order are buffered and absorbed strictly in phone-id order, so the
+//! report is byte-identical for any worker count — and byte-identical
+//! to the batch driver ([`StudyReport::analyze`]), which runs the
+//! *same* passes over a materialized fleet with an identity remap.
+//! Peak memory of the streaming driver is `workers × per-phone state`
+//! plus the folded summaries; flash bytes and datasets are dropped
+//! phone by phone.
 //!
-//! The sharded fold path batches that discipline: a worker folds a
+//! The streaming driver batches that discipline: a worker folds a
 //! *contiguous run* of phone ids into a private [`FoldShard`] (its own
 //! accumulator chain plus shard-local name table) and hands the whole
 //! shard to the merger in one [`StreamMerger::push_shard`] — one lock
@@ -40,8 +40,8 @@
 //! ([`AnalysisPass::merge_acc`]) is associative over disjoint
 //! ascending runs for the same reason per-phone merging is, and the
 //! interner absorbs shard tables exactly as it would the phones' own,
-//! so sharded reports stay byte-identical to the serial merge for any
-//! run partition ([`tree_merge_shards`] exploits the same property to
+//! so sharded reports stay byte-identical to per-phone
+//! [`StreamMerger::push`] merging for any run partition ([`tree_merge_shards`] exploits the same property to
 //! reduce shards pairwise).
 
 use std::any::Any;
@@ -673,7 +673,7 @@ pub struct StreamMerger<'r> {
     accs: Vec<DynAcc>,
     /// Out-of-order arrivals, keyed by shard start id. Per-phone
     /// pushes buffer as 1-phone shards, so one mechanism serves both
-    /// the serial and the sharded driver.
+    /// [`Self::push`] and [`Self::push_shard`].
     pending: BTreeMap<u32, FoldShard>,
     next_id: u32,
     /// First phone id this merger owns — 0 for a whole-fleet merger,
@@ -715,33 +715,20 @@ impl<'r> StreamMerger<'r> {
     }
 
     /// Accepts one phone's folds, absorbing every contiguously-ready
-    /// phone. Out-of-order arrivals are buffered (bounded by worker
-    /// skew: at most `workers - 1` phones wait).
+    /// phone — the per-phone entry point the tests' oracles use.
+    /// Out-of-order arrivals are buffered until the phones before them
+    /// arrive. Folds for phones below [`Self::absorbed`] (a resumed
+    /// campaign replaying an already-checkpointed phone) are dropped:
+    /// absorbing them again would double-count.
     pub fn push(&mut self, folds: PhoneFolds) {
-        self.push_each(folds, |_| {});
-    }
-
-    /// [`Self::push`] with an observer: `on_absorb` fires after *each*
-    /// single phone is absorbed (one push can absorb several buffered
-    /// phones). Because absorption happens strictly in phone-id order,
-    /// the observer sees every absorbed-count boundary exactly once
-    /// regardless of worker count or arrival order — which is what
-    /// makes checkpoint-every-N and the online MTBF trace
-    /// deterministic.
-    ///
-    /// Folds for phones below [`Self::absorbed`] (a resumed campaign
-    /// replaying an already-checkpointed phone) are dropped: absorbing
-    /// them again would double-count.
-    pub fn push_each(&mut self, folds: PhoneFolds, mut on_absorb: impl FnMut(&Self)) {
         if folds.phone_id < self.next_id {
             return;
         }
         if folds.phone_id == self.next_id {
             // Head of line: merge the folds straight into the fleet
-            // accumulators — no shard wrapping on the hot path.
+            // accumulators — no shard wrapping.
             self.absorb(folds);
-            on_absorb(&*self);
-            self.drain_ready(&mut on_absorb);
+            self.drain_ready(&mut |_| {});
         } else {
             self.buffer(FoldShard::from_folds(self.registry, folds));
         }
@@ -760,8 +747,9 @@ impl<'r> StreamMerger<'r> {
     /// [`Self::push_shard`] with an observer fired after each absorbed
     /// shard (one push can unblock several buffered shards). Because
     /// shards absorb strictly in phone-id order, the observer sees
-    /// every run boundary exactly once regardless of worker count —
-    /// the checkpoint-every-N discipline at run granularity.
+    /// every run boundary exactly once regardless of worker count or
+    /// arrival order — which is what makes checkpoint-every-N and the
+    /// online MTBF trace deterministic.
     pub fn push_shard_each(&mut self, shard: FoldShard, mut on_absorb: impl FnMut(&Self)) {
         if shard.is_empty() || shard.end() <= self.next_id {
             return;
@@ -2576,26 +2564,6 @@ mod tests {
         assert_eq!(report.defects.per_phone.len(), 3);
     }
 
-    #[test]
-    fn push_each_fires_once_per_absorbed_phone() {
-        let registry = PassRegistry::select("defects").unwrap();
-        let config = AnalysisConfig::default();
-        let mut merger = StreamMerger::new(&registry, config);
-        let mut boundaries = Vec::new();
-        merger.push_each(fold_for(&registry, config, 2), |m| {
-            boundaries.push(m.absorbed())
-        });
-        assert!(boundaries.is_empty(), "phone 2 waits for 0 and 1");
-        merger.push_each(fold_for(&registry, config, 0), |m| {
-            boundaries.push(m.absorbed())
-        });
-        merger.push_each(fold_for(&registry, config, 1), |m| {
-            boundaries.push(m.absorbed())
-        });
-        assert_eq!(boundaries, vec![1, 2, 3], "every boundary, exactly once");
-        assert_eq!(merger.absorbed(), 3);
-    }
-
     /// Builds one contiguous shard covering `ids` by absorbing
     /// single-phone shards left to right.
     fn shard_of(
@@ -2611,6 +2579,44 @@ mod tests {
             shard.absorb_shard(registry, single);
         }
         shard
+    }
+
+    #[test]
+    fn push_shard_each_fires_once_per_absorbed_run_in_id_order() {
+        let registry = PassRegistry::select("defects").unwrap();
+        let config = AnalysisConfig::default();
+        let mut merger = StreamMerger::new(&registry, config);
+        let mut seen = Vec::new();
+        let push = |m: &mut StreamMerger, shard: FoldShard, seen: &mut Vec<u32>| {
+            m.push_shard_each(shard, |m| seen.push(m.absorbed()))
+        };
+        // [3,6) and the one-phone [2,3) arrive early and buffer.
+        push(&mut merger, shard_of(&registry, config, 3..6), &mut seen);
+        push(&mut merger, shard_of(&registry, config, 2..3), &mut seen);
+        assert!(seen.is_empty(), "nothing absorbs before phone 0");
+        assert_eq!(merger.pending_len(), 4);
+        // [0,2) absorbs and drains both buffered runs, in id order.
+        push(&mut merger, shard_of(&registry, config, 0..2), &mut seen);
+        assert_eq!(seen, vec![2, 3, 6], "one call per absorbed run");
+        assert_eq!(merger.pending_len(), 0);
+        // A stale replay of absorbed phones is dropped silently.
+        push(&mut merger, shard_of(&registry, config, 1..4), &mut seen);
+        push(&mut merger, shard_of(&registry, config, 5..6), &mut seen);
+        assert_eq!(seen, vec![2, 3, 6], "stale shards fire nothing");
+        assert_eq!(merger.absorbed(), 6);
+        push(&mut merger, shard_of(&registry, config, 6..7), &mut seen);
+        assert_eq!(seen, vec![2, 3, 6, 7]);
+        assert_eq!(merger.finish().defects.per_phone.len(), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "straddles the absorbed watermark")]
+    fn push_shard_each_refuses_a_shard_straddling_the_watermark() {
+        let registry = PassRegistry::select("defects").unwrap();
+        let config = AnalysisConfig::default();
+        let mut merger = StreamMerger::new(&registry, config);
+        merger.push_shard_each(shard_of(&registry, config, 0..3), |_| {});
+        merger.push_shard_each(shard_of(&registry, config, 2..5), |_| {});
     }
 
     fn rendered(report: &crate::analysis::report::StudyReport) -> String {

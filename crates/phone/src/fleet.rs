@@ -17,7 +17,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use symfail_core::analysis::checkpoint::{fnv1a64, CheckpointError, ShardTopology};
-use symfail_core::analysis::dataset::{FleetDataset, ParseScratch, PhoneDataset};
+use symfail_core::analysis::dataset::{ParseScratch, PhoneDataset};
 use symfail_core::analysis::mtbf::MtbfAnalysis;
 use symfail_core::analysis::passes::{
     DeviceLabels, FoldShard, MergeStats, PassRegistry, PhoneLens, StreamMerger,
@@ -60,8 +60,8 @@ pub struct PhoneHarvest {
 /// Everything worth keeping about a phone once its flash has been
 /// parsed and dropped: campaign metadata, ground truth, and the few
 /// side-channel payloads (user reports) downstream experiments read
-/// straight from flash. This is what lets the fused and streaming
-/// pipelines reclaim flash buffers phone by phone.
+/// straight from flash. This is what lets the streaming driver
+/// reclaim flash buffers phone by phone.
 #[derive(Debug, Clone)]
 pub struct PhoneMeta {
     /// The phone's identifier.
@@ -128,13 +128,12 @@ pub struct StreamingOptions {
     /// Record a live MTBFr/MTBS estimate at every boundary (plus one
     /// final entry) into [`StreamingRun::mtbf_trace`].
     pub mtbf_trace: bool,
-    /// Merge discipline: sharded per-worker runs (default) or the
-    /// serial per-phone oracle path.
-    pub merge: MergeMode,
-    /// Sharded mode: cap on phones per contiguous run; `0` derives one
-    /// from the fleet size and worker count. Runs are additionally cut
-    /// at every `checkpoint_every` multiple, so checkpoint boundaries
-    /// land on exactly the phones serial mode checkpoints.
+    /// Cap on phones per contiguous run a worker folds before handing
+    /// it to the merger; `0` derives one from the fleet size and
+    /// worker count, and `1` hands over every phone on its own. Runs
+    /// are additionally cut at every `checkpoint_every` multiple, so
+    /// checkpoint boundaries land on the same phones for any run
+    /// length.
     pub run_len: u32,
     /// Reads a monotonically-increasing allocation counter for the
     /// *calling thread* (e.g. a thread-local inside the binary's
@@ -259,29 +258,6 @@ impl ShardSpec {
     }
 }
 
-/// Which merge discipline [`FleetCampaign::run_streaming_opts`] uses.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum MergeMode {
-    /// One merger push per phone — the pre-sharding architecture, kept
-    /// as the byte-identical oracle for the sharded path.
-    Serial,
-    /// Each worker folds a contiguous run of phones into a private
-    /// [`FoldShard`] and hands the whole shard to the merger: one lock
-    /// acquisition per run instead of per phone.
-    #[default]
-    Sharded,
-}
-
-impl MergeMode {
-    /// Stable CLI/JSON label.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            MergeMode::Serial => "serial",
-            MergeMode::Sharded => "sharded",
-        }
-    }
-}
-
 /// Per-worker counters from a streaming run, for throughput
 /// diagnosis without a profiler.
 #[derive(Debug, Clone, Copy, Default)]
@@ -320,10 +296,10 @@ fn plan_runs(start: u32, stop: u32, every: u32, run_len: u32) -> Vec<(u32, u32)>
     runs
 }
 
-/// The checkpoint-boundary observer shared by both merge modes: called
-/// by the merger after every absorbed phone (serial) or run (sharded).
-/// Sharded runs are cut at `checkpoint_every` multiples, so the
-/// boundary test fires on exactly the same absorbed counts either way.
+/// The checkpoint-boundary observer: called by the merger after every
+/// absorbed run. Runs are cut at `checkpoint_every` multiples, so the
+/// boundary test fires on exactly the same absorbed counts for any
+/// worker count and run length.
 fn on_boundary(
     m: &StreamMerger<'_>,
     opts: &StreamingOptions,
@@ -371,10 +347,21 @@ fn join_workers(
     (runs, stats)
 }
 
+/// The temp file [`write_atomic`] stages `path` in: the full file name
+/// plus the process id, in the same directory (so the rename stays on
+/// one filesystem). Keeping the whole name apart keeps `run.1` and
+/// `run.2`, or `shard0.ckpt` and `shard0.bin`, from sharing one temp
+/// file.
+fn tmp_path(path: &Path) -> PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(format!(".{}.tmp", std::process::id()));
+    path.with_file_name(name)
+}
+
 /// Writes `bytes` to `path` atomically (tmp file + rename), so a crash
 /// mid-write can never leave a torn checkpoint behind.
 fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
-    let tmp = path.with_extension("tmp");
+    let tmp = tmp_path(path);
     std::fs::write(&tmp, bytes)
         .and_then(|()| std::fs::rename(&tmp, path))
         .map_err(|e| CheckpointError::Io(format!("{}: {e}", path.display())))
@@ -601,7 +588,7 @@ impl FleetCampaign {
     /// Runs exactly one phone of this campaign — the single-phone
     /// scoped entry point the signature-repro machinery uses to
     /// re-simulate an individual fleet member. Identical to the
-    /// phone's harvest under any engine, worker count or shard layout
+    /// phone's harvest under any driver, worker count or shard layout
     /// (per-phone RNG forks are independent by construction).
     pub fn run_single(&self, id: u32) -> PhoneHarvest {
         assert!(
@@ -610,18 +597,6 @@ impl FleetCampaign {
             self.params.phones
         );
         self.run_phone(id)
-    }
-
-    /// Runs the contiguous `[lo, hi)` slice of the fleet sequentially
-    /// — the same interval a `--shard` process simulates, exposed for
-    /// scoped re-simulation without the streaming driver.
-    pub fn run_interval(&self, lo: u32, hi: u32) -> Vec<PhoneHarvest> {
-        assert!(
-            lo <= hi && hi <= self.params.phones,
-            "interval [{lo}, {hi}) outside the {}-phone fleet",
-            self.params.phones
-        );
-        (lo..hi).map(|id| self.run_phone(id)).collect()
     }
 
     /// Runs every phone sequentially. Deterministic in the seed.
@@ -674,103 +649,18 @@ impl FleetCampaign {
         harvests
     }
 
-    /// Runs the campaign with the campaign→parse barrier removed: each
-    /// work-stealing worker parses a phone's flash immediately after
-    /// simulating it, so simulation and parsing interleave across the
-    /// pool instead of the whole fleet simulating before the first
-    /// byte is parsed.
-    ///
-    /// Equivalence: phones own forked RNG streams and parsing is a
-    /// pure function of each phone's flash bytes, so the harvests are
-    /// byte-identical — and the datasets value-identical — to the
-    /// staged `run_parallel` + `FleetDataset::from_flash_parallel`
-    /// path for any worker count. The intern-table merge inside
-    /// [`FleetDataset::from_phones`] happens after sorting by phone
-    /// id, so fleet name ids are schedule-independent too.
-    pub fn run_fused(&self, workers: usize) -> FusedRun {
-        let phones = self.params.phones as usize;
-        if phones == 0 {
-            return FusedRun {
-                metas: Vec::new(),
-                dataset: FleetDataset::default(),
-                parse_cpu_seconds: 0.0,
-                parse_bytes: 0,
-                reclaimed_flash_bytes: 0,
-            };
-        }
-        let workers = workers.clamp(1, phones);
-        let next = AtomicUsize::new(0);
-        let mut runs: Vec<(PhoneMeta, PhoneDataset, f64)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        loop {
-                            let id = next.fetch_add(1, Ordering::Relaxed);
-                            if id >= phones {
-                                break;
-                            }
-                            let harvest = self.run_phone(id as u32);
-                            let start = Instant::now();
-                            let ds = PhoneDataset::from_flashfs(id as u32, &harvest.flashfs);
-                            let secs = start.elapsed().as_secs_f64();
-                            let meta = PhoneMeta::from_harvest(&harvest);
-                            // The harvest (and its flash buffers) dies
-                            // here: the worker holds at most one
-                            // phone's flash at a time.
-                            drop(harvest);
-                            out.push((meta, ds, secs));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("fused worker panicked"))
-                .collect()
-        });
-        runs.sort_unstable_by_key(|(m, _, _)| m.phone_id);
-        let mut metas = Vec::with_capacity(runs.len());
-        let mut datasets = Vec::with_capacity(runs.len());
-        let mut parse_cpu_seconds = 0.0;
-        for (m, ds, secs) in runs {
-            metas.push(m);
-            datasets.push(ds);
-            parse_cpu_seconds += secs;
-        }
-        let parse_bytes = metas.iter().map(|m| m.flash_bytes).sum();
-        FusedRun {
-            metas,
-            dataset: FleetDataset::from_phones(datasets),
-            parse_cpu_seconds,
-            parse_bytes,
-            reclaimed_flash_bytes: parse_bytes,
-        }
-    }
-
-    /// The fully-streamed pipeline: each worker simulates a phone,
-    /// parses its flash, folds every registered analysis pass over the
-    /// dataset, then drops **both** the flash and the dataset before
-    /// stealing the next phone. Folds drain into a shared
-    /// [`StreamMerger`] that absorbs them strictly in phone-id order,
-    /// so the report is byte-identical to
-    /// [`StudyReport::analyze`] over the batch dataset for any worker
-    /// count — while peak memory stays bounded by
-    /// `workers × per-phone state` plus the folded summaries instead
-    /// of the whole fleet.
-    pub fn run_streaming(
-        &self,
-        workers: usize,
-        config: AnalysisConfig,
-        registry: &PassRegistry,
-    ) -> StreamingRun {
-        self.run_streaming_opts(workers, config, registry, &StreamingOptions::default())
-            .expect("streaming run without a checkpoint path cannot fail")
-    }
-
-    /// [`Self::run_streaming`] with checkpoint/resume support.
+    /// The fully-streamed pipeline, and the only driver that renders a
+    /// report: each worker takes a contiguous run of phones, and for
+    /// each phone simulates it, parses its flash, folds every
+    /// registered analysis pass into a private [`FoldShard`], then
+    /// drops **both** the flash and the dataset before the next phone.
+    /// The whole shard crosses into a shared [`StreamMerger`] in one
+    /// lock acquisition, and the merger absorbs shards strictly in
+    /// phone-id order, so the report is byte-identical to
+    /// [`StudyReport::analyze_with_labels`] over the sequential fleet
+    /// for any worker count and run length — while peak memory stays
+    /// bounded by `workers × per-phone state` plus the folded
+    /// summaries instead of the whole fleet.
     ///
     /// When `opts.checkpoint` names an existing file, the merger is
     /// rebuilt from it (after validating version, checksum, registry,
@@ -781,8 +671,7 @@ impl FleetCampaign {
     /// at the end of the run; since absorption happens strictly in
     /// phone-id order, boundary phones — and therefore checkpoint
     /// bytes and the MTBF trace — are identical for any worker count.
-    /// The final report stays byte-identical to an uninterrupted
-    /// (and to a batch) run.
+    /// The final report stays byte-identical to an uninterrupted run.
     ///
     /// A resumed run's `metas`/parse counters cover only the phones it
     /// simulated itself (the resumed suffix); the report covers the
@@ -853,169 +742,89 @@ impl FleetCampaign {
 
         let (mut runs, worker_stats): (Vec<(PhoneMeta, f64)>, Vec<WorkerStats>) = if start < stop {
             let workers = workers.clamp(1, (stop - start) as usize);
-            match opts.merge {
-                MergeMode::Serial => {
-                    let next = AtomicUsize::new(start as usize);
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = (0..workers)
-                            .map(|_| {
-                                let next = &next;
-                                let state = &state;
-                                scope.spawn(move || {
-                                    let mut out = Vec::new();
-                                    let mut ws = WorkerStats::default();
-                                    let allocs0 = opts.alloc_counter.map(|f| f());
-                                    let mut scratch = ParseScratch::default();
-                                    loop {
-                                        let id = next.fetch_add(1, Ordering::Relaxed);
-                                        if id >= stop as usize {
-                                            break;
-                                        }
-                                        let harvest = self.run_phone(id as u32);
-                                        let t0 = Instant::now();
-                                        let ds = PhoneDataset::from_flashfs_with(
-                                            id as u32,
-                                            &harvest.flashfs,
-                                            &mut scratch,
-                                        );
-                                        let secs = t0.elapsed().as_secs_f64();
-                                        let meta = PhoneMeta::from_harvest(&harvest);
-                                        drop(harvest);
-                                        let lens = PhoneLens::with_device(
-                                            &ds,
-                                            config,
-                                            needs_coalesce,
-                                            self.device_labels(id as u32),
-                                        );
-                                        let folds = registry.fold_phone(&lens);
-                                        drop(lens);
-                                        // The dataset's buffers go back
-                                        // into the scratch pool here; only
-                                        // the folded summaries cross into
-                                        // the merger.
-                                        ds.recycle(&mut scratch);
-                                        let t1 = Instant::now();
-                                        let mut guard = state.lock().expect("merger lock");
-                                        let MergeState {
-                                            merger,
-                                            trace,
-                                            write_error,
-                                        } = &mut *guard;
-                                        merger.push_each(folds, |m| {
-                                            on_boundary(
-                                                m,
-                                                opts,
-                                                fingerprint,
-                                                composition,
-                                                topology,
-                                                trace,
-                                                write_error,
-                                            )
-                                        });
-                                        drop(guard);
-                                        ws.merge_wait_seconds += t1.elapsed().as_secs_f64();
-                                        ws.parse_seconds += secs;
-                                        ws.phones += 1;
-                                        out.push((meta, secs));
-                                    }
-                                    ws.alloc_calls = opts
-                                        .alloc_counter
-                                        .map(|f| f().saturating_sub(allocs0.unwrap_or(0)));
-                                    (out, ws)
-                                })
-                            })
-                            .collect();
-                        join_workers(handles)
+            // Without an explicit cap (and no checkpoint grid to cut
+            // on), size runs so each worker sees a few of them —
+            // enough stealing slack to absorb straggler phones.
+            let run_len = if opts.run_len > 0 || opts.checkpoint_every > 0 {
+                opts.run_len
+            } else {
+                ((stop - start) / (workers as u32 * 8)).clamp(1, 32)
+            };
+            let plan = plan_runs(start, stop, opts.checkpoint_every, run_len);
+            let next = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        let next = &next;
+                        let state = &state;
+                        let plan = &plan;
+                        scope.spawn(move || {
+                            let mut out = Vec::new();
+                            let mut ws = WorkerStats::default();
+                            let allocs0 = opts.alloc_counter.map(|f| f());
+                            let mut scratch = ParseScratch::default();
+                            loop {
+                                let ri = next.fetch_add(1, Ordering::Relaxed);
+                                let Some(&(run_start, run_end)) = plan.get(ri) else {
+                                    break;
+                                };
+                                let mut shard = FoldShard::new(registry, run_start);
+                                for id in run_start..run_end {
+                                    let harvest = self.run_phone(id);
+                                    let t0 = Instant::now();
+                                    let ds = PhoneDataset::from_flashfs_with(
+                                        id,
+                                        &harvest.flashfs,
+                                        &mut scratch,
+                                    );
+                                    let secs = t0.elapsed().as_secs_f64();
+                                    let meta = PhoneMeta::from_harvest(&harvest);
+                                    drop(harvest);
+                                    let lens = PhoneLens::with_device(
+                                        &ds,
+                                        config,
+                                        needs_coalesce,
+                                        self.device_labels(id),
+                                    );
+                                    shard.absorb_phone(registry, &lens);
+                                    drop(lens);
+                                    ds.recycle(&mut scratch);
+                                    ws.parse_seconds += secs;
+                                    ws.phones += 1;
+                                    out.push((meta, secs));
+                                }
+                                // One lock acquisition per run: the
+                                // whole shard crosses at once.
+                                let t1 = Instant::now();
+                                let mut guard = state.lock().expect("merger lock");
+                                let MergeState {
+                                    merger,
+                                    trace,
+                                    write_error,
+                                } = &mut *guard;
+                                merger.push_shard_each(shard, |m| {
+                                    on_boundary(
+                                        m,
+                                        opts,
+                                        fingerprint,
+                                        composition,
+                                        topology,
+                                        trace,
+                                        write_error,
+                                    )
+                                });
+                                drop(guard);
+                                ws.merge_wait_seconds += t1.elapsed().as_secs_f64();
+                            }
+                            ws.alloc_calls = opts
+                                .alloc_counter
+                                .map(|f| f().saturating_sub(allocs0.unwrap_or(0)));
+                            (out, ws)
+                        })
                     })
-                }
-                MergeMode::Sharded => {
-                    // Without an explicit cap (and no checkpoint grid
-                    // to cut on), size runs so each worker sees a few
-                    // of them — enough stealing slack to absorb
-                    // straggler phones.
-                    let run_len = if opts.run_len > 0 || opts.checkpoint_every > 0 {
-                        opts.run_len
-                    } else {
-                        ((stop - start) / (workers as u32 * 8)).clamp(1, 32)
-                    };
-                    let plan = plan_runs(start, stop, opts.checkpoint_every, run_len);
-                    let next = AtomicUsize::new(0);
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = (0..workers)
-                            .map(|_| {
-                                let next = &next;
-                                let state = &state;
-                                let plan = &plan;
-                                scope.spawn(move || {
-                                    let mut out = Vec::new();
-                                    let mut ws = WorkerStats::default();
-                                    let allocs0 = opts.alloc_counter.map(|f| f());
-                                    let mut scratch = ParseScratch::default();
-                                    loop {
-                                        let ri = next.fetch_add(1, Ordering::Relaxed);
-                                        let Some(&(run_start, run_end)) = plan.get(ri) else {
-                                            break;
-                                        };
-                                        let mut shard = FoldShard::new(registry, run_start);
-                                        for id in run_start..run_end {
-                                            let harvest = self.run_phone(id);
-                                            let t0 = Instant::now();
-                                            let ds = PhoneDataset::from_flashfs_with(
-                                                id,
-                                                &harvest.flashfs,
-                                                &mut scratch,
-                                            );
-                                            let secs = t0.elapsed().as_secs_f64();
-                                            let meta = PhoneMeta::from_harvest(&harvest);
-                                            drop(harvest);
-                                            let lens = PhoneLens::with_device(
-                                                &ds,
-                                                config,
-                                                needs_coalesce,
-                                                self.device_labels(id),
-                                            );
-                                            shard.absorb_phone(registry, &lens);
-                                            drop(lens);
-                                            ds.recycle(&mut scratch);
-                                            ws.parse_seconds += secs;
-                                            ws.phones += 1;
-                                            out.push((meta, secs));
-                                        }
-                                        // One lock acquisition per run:
-                                        // the whole shard crosses at
-                                        // once.
-                                        let t1 = Instant::now();
-                                        let mut guard = state.lock().expect("merger lock");
-                                        let MergeState {
-                                            merger,
-                                            trace,
-                                            write_error,
-                                        } = &mut *guard;
-                                        merger.push_shard_each(shard, |m| {
-                                            on_boundary(
-                                                m,
-                                                opts,
-                                                fingerprint,
-                                                composition,
-                                                topology,
-                                                trace,
-                                                write_error,
-                                            )
-                                        });
-                                        drop(guard);
-                                        ws.merge_wait_seconds += t1.elapsed().as_secs_f64();
-                                    }
-                                    ws.alloc_calls = opts
-                                        .alloc_counter
-                                        .map(|f| f().saturating_sub(allocs0.unwrap_or(0)));
-                                    (out, ws)
-                                })
-                            })
-                            .collect();
-                        join_workers(handles)
-                    })
-                }
-            }
+                    .collect();
+                join_workers(handles)
+            })
         } else {
             (Vec::new(), Vec::new())
         };
@@ -1069,35 +878,14 @@ impl FleetCampaign {
     }
 }
 
-/// The result of a fused campaign→parse run
-/// ([`FleetCampaign::run_fused`]).
-#[derive(Debug)]
-pub struct FusedRun {
-    /// Per-phone metadata (ground truth, firmware, user reports),
-    /// sorted by phone id. Flash buffers are dropped phone by phone
-    /// during the run.
-    pub metas: Vec<PhoneMeta>,
-    /// The fleet dataset parsed from those harvests — value-identical
-    /// to `FleetDataset::from_flash_parallel` over the same flashes.
-    pub dataset: FleetDataset,
-    /// CPU seconds spent inside flash parsing, summed across workers
-    /// (wall-clock parse cost is hidden inside the simulation overlap;
-    /// this counter is what the timing report can still attribute).
-    pub parse_cpu_seconds: f64,
-    /// Total flash bytes parsed.
-    pub parse_bytes: u64,
-    /// Flash bytes freed phone-by-phone instead of being held for the
-    /// run's lifetime (equals `parse_bytes`: every flash is dropped).
-    pub reclaimed_flash_bytes: u64,
-}
-
 /// The result of a fully-streamed campaign→parse→fold run
-/// ([`FleetCampaign::run_streaming`]).
+/// ([`FleetCampaign::run_streaming_opts`]).
 #[derive(Debug)]
 pub struct StreamingRun {
     /// Per-phone metadata, sorted by phone id.
     pub metas: Vec<PhoneMeta>,
-    /// The finished study report, byte-identical to the batch path.
+    /// The finished study report, byte-identical to the sequential
+    /// oracle over the materialized fleet.
     pub report: StudyReport,
     /// CPU seconds spent inside flash parsing, summed across workers.
     pub parse_cpu_seconds: f64,
@@ -1163,6 +951,7 @@ pub fn total_stats(metas: &[PhoneMeta]) -> PhoneStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use symfail_core::analysis::dataset::FleetDataset;
 
     fn tiny_params() -> CalibrationParams {
         CalibrationParams {
@@ -1265,50 +1054,36 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fused_equals_staged_pipeline() {
-        let c = FleetCampaign::new(13, tiny_params()).with_corruption(CorruptionProfile::Worst);
-        let staged_harvest = c.run_parallel(3);
-        let systems: Vec<(u32, &FlashFs)> = staged_harvest
-            .iter()
-            .map(|h| (h.phone_id, &h.flashfs))
-            .collect();
-        let staged = FleetDataset::from_flash_parallel(&systems, 3);
-        for workers in [1, 2, 3] {
-            let fused = c.run_fused(workers);
-            assert_eq!(fused.metas.len(), staged_harvest.len());
-            for (x, y) in fused.metas.iter().zip(&staged_harvest) {
-                assert_eq!(x.phone_id, y.phone_id);
-                assert_eq!(x.stats, y.stats);
-                assert_eq!(x.flash_bytes, y.flashfs.total_size());
-            }
-            assert_eq!(fused.dataset.names(), staged.names());
-            assert_eq!(fused.dataset.panic_count(), staged.panic_count());
-            for (f, s) in fused.dataset.phones().iter().zip(staged.phones()) {
-                assert_eq!(f.panics(), s.panics());
-                assert_eq!(f.beats(), s.beats());
-                assert_eq!(f.defects(), s.defects());
-            }
-            assert!(fused.parse_bytes > 0);
-            assert_eq!(fused.reclaimed_flash_bytes, fused.parse_bytes);
-        }
+    /// The sequential oracle: the labeled batch analysis over the
+    /// fleet parsed from [`FleetCampaign::run`].
+    fn oracle(c: &FleetCampaign, config: AnalysisConfig, registry: &PassRegistry) -> String {
+        let harvest = c.run();
+        let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
+        StudyReport::analyze_with_labels(&fleet, config, registry, |id| c.device_labels(id))
+            .render_all()
+    }
+
+    fn stream(c: &FleetCampaign, workers: usize, registry: &PassRegistry) -> StreamingRun {
+        c.run_streaming_opts(
+            workers,
+            AnalysisConfig::default(),
+            registry,
+            &StreamingOptions::default(),
+        )
+        .expect("no checkpoint path, nothing can fail")
     }
 
     #[test]
-    fn streaming_report_matches_batch() {
+    fn streaming_report_matches_sequential_oracle() {
         let c = FleetCampaign::new(13, tiny_params()).with_corruption(CorruptionProfile::Worst);
-        let config = AnalysisConfig::default();
         let registry = PassRegistry::all();
-        let batch = {
-            let fused = c.run_fused(2);
-            StudyReport::analyze_with(&fused.dataset, config, &registry)
-        };
+        let want = oracle(&c, AnalysisConfig::default(), &registry);
         for workers in [1, 2, 3] {
-            let streamed = c.run_streaming(workers, config, &registry);
+            let streamed = stream(&c, workers, &registry);
             assert_eq!(
                 streamed.report.render_all(),
-                batch.render_all(),
-                "streaming ({workers} workers) must be byte-identical to batch"
+                want,
+                "streaming ({workers} workers) must be byte-identical to the oracle"
             );
             assert_eq!(streamed.metas.len(), 3);
             assert_eq!(streamed.reclaimed_flash_bytes, streamed.parse_bytes);
@@ -1348,30 +1123,97 @@ mod tests {
     }
 
     #[test]
-    fn mixed_fleet_streaming_matches_labeled_batch() {
+    fn mixed_fleet_streaming_matches_labeled_oracle() {
         let c = FleetCampaign::new(13, tiny_params())
             .with_fleet(FleetComposition::mixed())
             .with_corruption(CorruptionProfile::Worst);
-        let config = AnalysisConfig::default();
         let registry = PassRegistry::all();
-        let batch = {
-            let fused = c.run_fused(2);
-            StudyReport::analyze_with_labels(&fused.dataset, config, &registry, |id| {
-                c.device_labels(id)
-            })
-        };
+        let want = oracle(&c, AnalysisConfig::default(), &registry);
         assert!(
-            batch.render_all().contains("device class"),
+            want.contains("device class"),
             "a mixed fleet renders the device-class section"
         );
         for workers in [1, 2, 3] {
-            let streamed = c.run_streaming(workers, config, &registry);
             assert_eq!(
-                streamed.report.render_all(),
-                batch.render_all(),
-                "mixed-fleet streaming ({workers} workers) must match labeled batch"
+                stream(&c, workers, &registry).report.render_all(),
+                want,
+                "mixed-fleet streaming ({workers} workers) must match the labeled oracle"
             );
         }
+    }
+
+    #[test]
+    fn temp_names_keep_the_whole_file_name() {
+        let names = ["run.1", "run.2", "shard0.ckpt", "shard0.bin", "run"];
+        let dir = Path::new("ckpts");
+        let tmps: Vec<PathBuf> = names.iter().map(|n| tmp_path(&dir.join(n))).collect();
+        for (i, t) in tmps.iter().enumerate() {
+            assert_eq!(t.parent(), Some(dir), "temp file stays beside its target");
+            for u in &tmps[i + 1..] {
+                assert_ne!(t, u, "two targets share one temp file");
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_writers_to_sibling_checkpoints_do_not_collide() {
+        // `run.1` and `run.2` differ only in their extension: each
+        // writer must still end with its own valid checkpoint.
+        let dir = std::env::temp_dir().join(format!("symfail-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let registry = PassRegistry::all();
+        let config = AnalysisConfig::default();
+        let targets = [(dir.join("run.1"), 11u64), (dir.join("run.2"), 22u64)];
+        // Both writers start every round together. A failed write is
+        // recorded, not raised, so the other writer never waits at the
+        // barrier for a thread that is gone.
+        let barrier = std::sync::Barrier::new(targets.len());
+        let failures: Vec<String> = std::thread::scope(|scope| {
+            let writers: Vec<_> = targets
+                .iter()
+                .map(|(path, fingerprint)| {
+                    let (registry, barrier) = (&registry, &barrier);
+                    scope.spawn(move || {
+                        let bytes = StreamMerger::new(registry, config).snapshot(
+                            *fingerprint,
+                            "default",
+                            ShardTopology::solo(3),
+                        );
+                        let mut failures = Vec::new();
+                        for round in 0..5000 {
+                            barrier.wait();
+                            if let Err(e) = write_atomic(path, &bytes) {
+                                failures.push(format!("{} round {round}: {e}", path.display()));
+                            }
+                        }
+                        failures
+                    })
+                })
+                .collect();
+            writers
+                .into_iter()
+                .flat_map(|w| w.join().expect("writer thread panicked"))
+                .collect()
+        });
+        assert!(failures.is_empty(), "failed writes: {failures:?}");
+        for (path, fingerprint) in &targets {
+            let bytes = std::fs::read(path).unwrap();
+            StreamMerger::resume(
+                &registry,
+                config,
+                *fingerprint,
+                "default",
+                ShardTopology::solo(3),
+                &bytes,
+            )
+            .unwrap_or_else(|e| panic!("{} is not its own checkpoint: {e}", path.display()));
+        }
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(leftovers.len(), 2, "temp files left behind: {leftovers:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -20,13 +20,14 @@ tmp_clean="$(mktemp)"
 tmp_worst="$(mktemp)"
 trap 'rm -f "$tmp_clean" "$tmp_worst"' EXIT
 
-# Staged pipeline: the parse stage runs in isolation, so its seconds
-# are the wall-clock throughput this document exists to trend.
-"$BIN" --exp defects --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
-    --workers "$WORKERS" --pipeline staged --corruption none \
+# `ablations` takes the staged path: the parse stage runs in
+# isolation, so its seconds are the wall-clock throughput this
+# document exists to trend.
+"$BIN" --exp ablations --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
+    --workers "$WORKERS" --corruption none \
     --timing-json "$tmp_clean" >/dev/null
-"$BIN" --exp defects --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
-    --workers "$WORKERS" --pipeline staged --corruption worst \
+"$BIN" --exp ablations --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
+    --workers "$WORKERS" --corruption worst \
     --timing-json "$tmp_worst" >/dev/null
 
 # Indent an embedded JSON document by two spaces (first line excluded,

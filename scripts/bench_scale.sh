@@ -1,20 +1,20 @@
 #!/usr/bin/env bash
 # Fleet-scale codec/pipeline datapoints: for each phone count in
-# PHONES_LIST, runs the campaign three times — staged (isolating the
-# parse stage's wall clock, which is what the throughput number
-# means), fused (campaign+parse on the same workers, the production
-# batch path) and streaming (campaign+parse+fold with per-phone flash
-# and dataset reclaim, the bounded-memory path) — and assembles the
-# per-scale numbers into one JSON document.
+# PHONES_LIST, runs the campaign twice — staged (`--exp ablations`:
+# the whole campaign, then the parse, then the report, which isolates
+# the parse stage's wall clock, the meaning of the throughput number)
+# and streaming (`--exp defects`: campaign+parse+fold with per-phone
+# flash and dataset reclaim, the bounded-memory path every other
+# experiment takes) — and assembles the per-scale numbers into one
+# JSON document.
 #
 # If a previous document exists (the committed baseline, or $BASELINE),
 # the script gates on it: any phone count whose staged parse MB/s falls
-# below MIN_RATIO of the baseline fails the run. Three within-run gates
-# cover the streaming engine: at every phone count >= STREAM_GATE_MIN
-# its peak live heap must stay under STREAM_PEAK_RATIO of the batch
-# (fused) peak and its wall clock within STREAM_WALL_RATIO of the fused
-# wall clock; and across the whole sweep the *last* point's streaming
-# parse MB/s must hold at least CLIFF_RATIO of the first point's — the
+# below MIN_RATIO of the baseline fails the run. Two within-run gates
+# cover the streaming path: at every phone count >= STREAM_GATE_MIN
+# its peak live heap must stay under STREAM_PEAK_RATIO of the staged
+# peak; and across the whole sweep the *last* point's streaming parse
+# MB/s must hold at least CLIFF_RATIO of the first point's — the
 # anti-cliff gate that pins the sharded merger's flat throughput
 # profile at fleet scale. A heterogeneous MIXED_PHONES-phone datapoint
 # (`--fleet mixed`) rides under the same anti-cliff floor: device-class
@@ -33,8 +33,11 @@ PHONES_LIST="${PHONES_LIST:-25 250 1000}"
 BASELINE="${BASELINE:-BENCH_scale.json}"
 MIN_RATIO="${MIN_RATIO:-0.8}"
 STREAM_GATE_MIN="${STREAM_GATE_MIN:-100}"
-STREAM_PEAK_RATIO="${STREAM_PEAK_RATIO:-0.5}"
-STREAM_WALL_RATIO="${STREAM_WALL_RATIO:-1.25}"
+# The old gate was "streaming peak < 0.5 x fused peak", and the fused
+# batch path peaked at 0.553-0.556 x the staged peak (100x425, 250x60,
+# 250x425 and 1000x425, 4 workers). Half the smallest quotient, rounded
+# down, restates it against the staged peak no looser.
+STREAM_PEAK_RATIO="${STREAM_PEAK_RATIO:-0.27}"
 CLIFF_RATIO="${CLIFF_RATIO:-0.5}"
 MIXED_PHONES="${MIXED_PHONES:-250}"
 
@@ -42,11 +45,10 @@ cargo build --release -p symfail-bench --bin repro >/dev/null
 BIN=target/release/repro
 
 tmp_staged="$(mktemp)"
-tmp_fused="$(mktemp)"
 tmp_stream="$(mktemp)"
 tmp_mixed="$(mktemp)"
 tmp_out="$(mktemp)"
-trap 'rm -f "$tmp_staged" "$tmp_fused" "$tmp_stream" "$tmp_mixed" "$tmp_out"' EXIT
+trap 'rm -f "$tmp_staged" "$tmp_stream" "$tmp_mixed" "$tmp_out"' EXIT
 
 # First numeric value of a key in a timing-JSON dump.
 jget() { grep -o "\"$2\": [0-9.]*" "$1" | head -n1 | awk '{print $2}'; }
@@ -58,7 +60,7 @@ jwall() {
 
 {
     printf '{\n'
-    printf '  "schema": "symfail-bench-scale/4",\n'
+    printf '  "schema": "symfail-bench-scale/5",\n'
     printf '  "seed": %s,\n' "$SEED"
     printf '  "days": %s,\n' "$DAYS"
     printf '  "workers": %s,\n' "$WORKERS"
@@ -66,14 +68,11 @@ jwall() {
     first=1
     for phones in $PHONES_LIST; do
         echo "bench_scale: $phones phones x $DAYS days..." >&2
-        "$BIN" --exp defects --seed "$SEED" --phones "$phones" --days "$DAYS" \
-            --workers "$WORKERS" --pipeline staged \
+        "$BIN" --exp ablations --seed "$SEED" --phones "$phones" --days "$DAYS" \
+            --workers "$WORKERS" \
             --timing-json "$tmp_staged" >/dev/null 2>&1
         "$BIN" --exp defects --seed "$SEED" --phones "$phones" --days "$DAYS" \
-            --workers "$WORKERS" --pipeline fused \
-            --timing-json "$tmp_fused" >/dev/null 2>&1
-        "$BIN" --exp defects --seed "$SEED" --phones "$phones" --days "$DAYS" \
-            --workers "$WORKERS" --engine streaming \
+            --workers "$WORKERS" \
             --timing-json "$tmp_stream" >/dev/null 2>&1
 
         parse_seconds="$(jget "$tmp_staged" parse_seconds)"
@@ -96,10 +95,8 @@ jwall() {
         printf '     "parse_lines": %s,\n' "$parse_lines"
         printf '     "parse_mb_per_s": %s,\n' "$mbps"
         printf '     "staged_wall_seconds": %s,\n' "$(jwall "$tmp_staged")"
-        printf '     "fused_wall_seconds": %s,\n' "$(jwall "$tmp_fused")"
-        printf '     "fused_parse_cpu_seconds": %s,\n' "$(jget "$tmp_fused" parse_seconds)"
-        printf '     "fused_total_allocs": %s,\n' "$(jget "$tmp_fused" total_allocs)"
-        printf '     "fused_peak_alloc_bytes": %s,\n' "$(jget "$tmp_fused" peak_alloc_bytes)"
+        printf '     "staged_total_allocs": %s,\n' "$(jget "$tmp_staged" total_allocs)"
+        printf '     "staged_peak_alloc_bytes": %s,\n' "$(jget "$tmp_staged" peak_alloc_bytes)"
         printf '     "streaming_wall_seconds": %s,\n' "$(jwall "$tmp_stream")"
         printf '     "streaming_peak_alloc_bytes": %s,\n' "$(jget "$tmp_stream" peak_alloc_bytes)"
         printf '     "streaming_parse_seconds": %s,\n' "$s_parse_seconds"
@@ -125,7 +122,7 @@ jwall() {
     # the per-point gates above never pick this block up by accident.
     echo "bench_scale: mixed fleet $MIXED_PHONES phones x $DAYS days..." >&2
     "$BIN" --exp defects --seed "$SEED" --phones "$MIXED_PHONES" --days "$DAYS" \
-        --workers "$WORKERS" --engine streaming --fleet mixed \
+        --workers "$WORKERS" --fleet mixed \
         --timing-json "$tmp_mixed" >/dev/null 2>&1
     m_seconds="$(jget "$tmp_mixed" parse_seconds)"
     m_bytes="$(jget "$tmp_mixed" parse_bytes)"
@@ -139,37 +136,29 @@ jwall() {
     printf '}\n'
 } >"$tmp_out"
 
-# Within-run gates: the streaming engine must actually buy memory
-# (peak < STREAM_PEAK_RATIO x batch peak) without giving up throughput
-# (wall <= STREAM_WALL_RATIO x fused wall) once fleets are big enough
-# for the comparison to be meaningful.
+# Within-run gate: the streaming path must actually buy memory
+# (peak < STREAM_PEAK_RATIO x staged peak) once fleets are big enough
+# for the comparison to be meaningful. Its throughput is held by the
+# anti-cliff gate below and the parse floor in scripts/ci_gates.sh.
 fail=0
-while read -r phones fpeak speak fwall swall; do
+while read -r phones tpeak speak; do
     [ "$phones" -ge "$STREAM_GATE_MIN" ] || continue
-    if ! awk -v s="$speak" -v f="$fpeak" -v r="$STREAM_PEAK_RATIO" \
-        'BEGIN { exit !(s + 0 < r * f) }'; then
+    if ! awk -v s="$speak" -v t="$tpeak" -v r="$STREAM_PEAK_RATIO" \
+        'BEGIN { exit !(s + 0 < r * t) }'; then
         echo "bench_scale: MEMORY GATE at $phones phones:" \
-            "streaming peak $speak B >= $STREAM_PEAK_RATIO x batch peak $fpeak B" >&2
+            "streaming peak $speak B >= $STREAM_PEAK_RATIO x staged peak $tpeak B" >&2
         fail=1
     else
         echo "bench_scale: $phones phones: streaming peak $speak B" \
-            "vs batch peak $fpeak B ok" >&2
-    fi
-    if ! awk -v s="$swall" -v f="$fwall" -v r="$STREAM_WALL_RATIO" \
-        'BEGIN { exit !(s + 0 <= r * f) }'; then
-        echo "bench_scale: THROUGHPUT GATE at $phones phones:" \
-            "streaming wall ${swall}s > $STREAM_WALL_RATIO x fused wall ${fwall}s" >&2
-        fail=1
+            "vs staged peak $tpeak B ok" >&2
     fi
 # Values stay strings end to end: awk's %d clamps 64-bit peaks to
 # INT_MAX on some implementations (mawk), which would corrupt the gate
-# inputs at multi-GiB batch peaks.
+# inputs at multi-GiB staged peaks.
 done < <(awk -F'[:,]' '/"phones"/ { p = $2 }
-    /"fused_peak_alloc_bytes"/ { fp = $2 }
+    /"staged_peak_alloc_bytes"/ { tp = $2 }
     /"streaming_peak_alloc_bytes"/ { sp = $2 }
-    /"fused_wall_seconds"/ { fw = $2 }
-    /"streaming_wall_seconds"/ { sw = $2 }
-    /"streaming_reclaimed_flash_bytes"/ { printf "%s %s %s %s %s\n", p, fp, sp, fw, sw }' \
+    /"streaming_reclaimed_flash_bytes"/ { printf "%s %s %s\n", p, tp, sp }' \
     "$tmp_out")
 [ "$fail" = 0 ] || exit 1
 

@@ -24,22 +24,21 @@ TMP="$(mktemp -d "${TMPDIR:-/tmp}/symfail-gates.XXXXXX")"
 trap 'rm -rf "$TMP"' EXIT
 cd "$TMP"
 
-echo "ci_gates: streaming vs batch byte identity ($PHONES phones, worst corruption)" >&2
+echo "ci_gates: 1 vs $WORKERS workers byte identity ($PHONES phones, worst corruption)" >&2
 "$BIN" --exp all --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
-    --engine batch --corruption worst > report_batch.txt
+    --corruption worst --workers 1 > report_one_worker.txt
 "$BIN" --exp all --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
-    --engine streaming --corruption worst --workers "$WORKERS" > report_stream.txt
-cmp report_batch.txt report_stream.txt
+    --corruption worst --workers "$WORKERS" > report_stream.txt
+cmp report_one_worker.txt report_stream.txt
 
-echo "ci_gates: sharded vs serial merge byte identity" >&2
+echo "ci_gates: --run-len 1 vs automatic run length byte identity" >&2
 "$BIN" --exp all --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
-    --engine streaming --corruption worst --workers "$WORKERS" \
-    --merge serial > report_serial.txt
-cmp report_stream.txt report_serial.txt
+    --corruption worst --workers "$WORKERS" --run-len 1 > report_run_len_1.txt
+cmp report_stream.txt report_run_len_1.txt
 
 echo "ci_gates: streaming parse throughput floor ($MBPS_FLOOR MB/s)" >&2
 "$BIN" --exp defects --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
-    --engine streaming --workers 1 --timing-json stream_250.json > /dev/null
+    --workers 1 --timing-json stream_250.json > /dev/null
 awk -F'[:,]' -v floor="$MBPS_FLOOR" '/"parse_seconds":/ { s = $2 + 0 }
     /"parse_bytes":/ { b = $2 + 0 }
     END {
@@ -51,13 +50,14 @@ awk -F'[:,]' -v floor="$MBPS_FLOOR" '/"parse_seconds":/ { s = $2 + 0 }
 echo "ci_gates: damaged-flash allocation budget (worst vs clean campaign)" >&2
 # Worst-profile corruption may cost at most 64 allocations per phone
 # over the clean campaign: the injector edits a line index over each
-# file's own bytes and never copies a line into a String. The staged
-# pipeline's "campaign" stage is simulation plus injection, without
-# the parse. Allocation counts repeat exactly run to run.
+# file's own bytes and never copies a line into a String. `ablations`
+# takes the staged path, whose "campaign" stage is simulation plus
+# injection, without the parse. Allocation counts repeat exactly run
+# to run.
 ALLOC_PHONES=25
 for c in none worst; do
-    "$BIN" --exp defects --seed "$SEED" --phones "$ALLOC_PHONES" --days 425 \
-        --workers 1 --pipeline staged --corruption "$c" \
+    "$BIN" --exp ablations --seed "$SEED" --phones "$ALLOC_PHONES" --days 425 \
+        --workers 1 --corruption "$c" \
         --timing-json "allocs_$c.json" > /dev/null
 done
 campaign_allocs() {
@@ -74,10 +74,10 @@ fi
 
 echo "ci_gates: checkpoint interrupt/resume byte identity (kill at phone 97)" >&2
 "$BIN" --exp all --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
-    --engine streaming --corruption worst --workers "$WORKERS" \
+    --corruption worst --workers "$WORKERS" \
     --checkpoint ckpt.bin --checkpoint-every 10 --stop-after 97 > /dev/null
 "$BIN" --exp all --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
-    --engine streaming --corruption worst --workers "$WORKERS" \
+    --corruption worst --workers "$WORKERS" \
     --checkpoint ckpt.bin --mtbf-trace-json mtbf_trace.json > report_resumed.txt
 cmp report_stream.txt report_resumed.txt
 grep -q '"resumed_from": 97' mtbf_trace.json
@@ -85,7 +85,7 @@ grep -q '"resumed_from": 97' mtbf_trace.json
 echo "ci_gates: 4-process cost-balanced shard merge byte identity" >&2
 for i in 0 1 2 3; do
     "$BIN" --exp targets --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
-        --engine streaming --corruption worst \
+        --corruption worst \
         --shard "$i/4" --balance static --checkpoint "shard$i.bin" > /dev/null
 done
 "$BIN" merge-checkpoints merged.bin shard0.bin shard1.bin shard2.bin shard3.bin \
@@ -93,18 +93,18 @@ done
     > report_merged.txt
 cmp report_stream.txt report_merged.txt
 
-echo "ci_gates: mixed-fleet sharded vs serial byte identity" >&2
+echo "ci_gates: mixed-fleet --run-len 1 vs automatic run length byte identity" >&2
 # Heterogeneous composition: the device-class dimension must survive
-# the sharded merge path bit for bit, and the report must actually
-# carry the device-class breakdown.
+# any run partition bit for bit, and the report must actually carry
+# the device-class breakdown.
 "$BIN" --exp all --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
-    --engine streaming --corruption worst --workers "$WORKERS" \
-    --fleet mixed > report_mixed_sharded.txt
+    --corruption worst --workers "$WORKERS" \
+    --fleet mixed > report_mixed_auto.txt
 "$BIN" --exp all --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
-    --engine streaming --corruption worst --workers "$WORKERS" \
-    --fleet mixed --merge serial > report_mixed_serial.txt
-cmp report_mixed_sharded.txt report_mixed_serial.txt
-grep -q "device class" report_mixed_sharded.txt
+    --corruption worst --workers "$WORKERS" \
+    --fleet mixed --run-len 1 > report_mixed_run_len_1.txt
+cmp report_mixed_auto.txt report_mixed_run_len_1.txt
+grep -q "device class" report_mixed_auto.txt
 # And the default composition must NOT grow the section: the
 # homogeneous report stays byte-compatible with the pre-fleet output.
 if grep -q "device class" report_stream.txt; then

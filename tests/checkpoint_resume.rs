@@ -11,12 +11,13 @@
 use std::path::PathBuf;
 
 use symfail::core::analysis::checkpoint::CheckpointError;
+use symfail::core::analysis::dataset::FleetDataset;
 use symfail::core::analysis::passes::PassRegistry;
 use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
 use symfail::phone::calibration::CalibrationParams;
 use symfail::phone::composition::FleetComposition;
 use symfail::phone::corruption::CorruptionProfile;
-use symfail::phone::fleet::{FleetCampaign, FusedRun, MergeMode, StreamingOptions};
+use symfail::phone::fleet::{FleetCampaign, StreamingOptions, StreamingRun};
 use symfail::sim::SimDuration;
 
 const SEED: u64 = 4242;
@@ -43,6 +44,30 @@ fn campaign(corruption: CorruptionProfile) -> FleetCampaign {
 
 fn render(report: &StudyReport) -> String {
     report.render_all() + &report.render_per_phone()
+}
+
+/// An uninterrupted streaming run without a checkpoint.
+fn stream(
+    campaign: &FleetCampaign,
+    config: AnalysisConfig,
+    registry: &PassRegistry,
+) -> StreamingRun {
+    campaign
+        .run_streaming_opts(4, config, registry, &StreamingOptions::default())
+        .expect("no checkpoint path, nothing can fail")
+}
+
+/// The sequential oracle: the labeled batch analysis over the fleet
+/// parsed from `campaign.run()`.
+fn oracle(campaign: &FleetCampaign, config: AnalysisConfig, registry: &PassRegistry) -> String {
+    let harvest = campaign.run();
+    let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
+    render(&StudyReport::analyze_with_labels(
+        &fleet,
+        config,
+        registry,
+        |id| campaign.device_labels(id),
+    ))
 }
 
 /// Unique checkpoint path per (test, scenario): tests run in parallel
@@ -99,9 +124,12 @@ fn assert_resume_identical(corruption: CorruptionProfile, baseline: &str, k: u32
 
 fn sweep(corruption: CorruptionProfile) {
     let baseline = render(
-        &campaign(corruption)
-            .run_streaming(4, AnalysisConfig::default(), &PassRegistry::all())
-            .report,
+        &stream(
+            &campaign(corruption),
+            AnalysisConfig::default(),
+            &PassRegistry::all(),
+        )
+        .report,
     );
     for k in [0, 1, PHONES / 2, PHONES] {
         for workers in [1usize, 4, PHONES as usize] {
@@ -120,23 +148,14 @@ fn interrupt_anywhere_resume_is_byte_identical_under_worst_corruption() {
     sweep(CorruptionProfile::Worst);
 }
 
-/// The sharded-merger leg: multi-phone runs (checkpoint_every = 5, so
-/// runs span up to 5 phones), killed at {0, mid, last} with worker
-/// counts {1, 4, 13}, resumed sharded — and every render must match
-/// the *serial* merger's uninterrupted output byte for byte.
+/// The multi-phone-run leg: runs span up to 5 phones
+/// (checkpoint_every = 5), killed at {0, mid, last} with worker
+/// counts {1, 4, 13}, resumed — and every render must match the
+/// *serial* sequential oracle byte for byte.
 fn sharded_sweep(corruption: CorruptionProfile) {
     let config = AnalysisConfig::default();
     let registry = PassRegistry::all();
-    let serial_opts = StreamingOptions {
-        merge: MergeMode::Serial,
-        ..StreamingOptions::default()
-    };
-    let baseline = render(
-        &campaign(corruption)
-            .run_streaming_opts(4, config, &registry, &serial_opts)
-            .expect("serial baseline run cannot fail")
-            .report,
-    );
+    let baseline = oracle(&campaign(corruption), config, &registry);
     for k in [0, PHONES / 2, PHONES] {
         for workers in [1usize, 4, PHONES as usize] {
             let tag = format!("sharded-{}-k{k}-w{workers}", corruption.as_str());
@@ -147,7 +166,6 @@ fn sharded_sweep(corruption: CorruptionProfile) {
                 checkpoint: Some(path.clone()),
                 checkpoint_every: 5,
                 stop_after_phones: Some(k),
-                merge: MergeMode::Sharded,
                 ..StreamingOptions::default()
             };
             let first = campaign
@@ -156,7 +174,6 @@ fn sharded_sweep(corruption: CorruptionProfile) {
             assert_eq!(first.resumed_from, None, "{tag}: first run must be fresh");
             let resumed = StreamingOptions {
                 checkpoint: Some(path.clone()),
-                merge: MergeMode::Sharded,
                 ..StreamingOptions::default()
             };
             let second = campaign
@@ -275,7 +292,7 @@ fn mixed_fleet_checkpoint_roundtrip_and_composition_refusal() {
     let registry = PassRegistry::all();
     let mixed = || campaign(CorruptionProfile::None).with_fleet(FleetComposition::mixed());
 
-    let baseline = render(&mixed().run_streaming(4, config, &registry).report);
+    let baseline = render(&stream(&mixed(), config, &registry).report);
     assert!(
         baseline.contains("device class"),
         "mixed fleet must render the device-class section"
@@ -322,7 +339,7 @@ fn mixed_fleet_checkpoint_roundtrip_and_composition_refusal() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// The online MTBF estimate must converge on the batch engine's
+/// The online MTBF estimate must converge on the batch analysis's
 /// number *exactly* — the paper's 25-phone seed fleet is the anchor.
 #[test]
 fn online_mtbf_trace_converges_to_batch_estimate() {
@@ -341,7 +358,8 @@ fn online_mtbf_trace_converges_to_batch_estimate() {
         .run_streaming_opts(4, config, &registry, &opts)
         .expect("no checkpoint file, nothing can fail");
 
-    let FusedRun { dataset, .. } = campaign.run_fused(4);
+    let harvest = campaign.run_parallel(4);
+    let dataset = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
     let batch = StudyReport::analyze_with(&dataset, config, &registry);
 
     assert!(

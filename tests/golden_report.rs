@@ -2,17 +2,17 @@
 //!
 //! `tests/golden/report_default.txt` is the committed rendering
 //! (`render_all` + `render_per_phone`) of the default 25-phone /
-//! 425-day campaign. Every engine must match it byte for byte:
+//! 425-day campaign. Every path must match it byte for byte:
 //!
-//! - the batch engine over the materialized fleet dataset,
-//! - the streaming engine with the per-phone serial merge,
-//! - the streaming engine with the sharded merge,
+//! - the batch analysis over the materialized fleet dataset,
+//! - the streaming driver handing over one phone per run,
+//! - the streaming driver with its automatic run length,
 //! - a multi-process campaign: three `--shard i/3` checkpoint files
 //!   merged with `merge_shard_checkpoints`.
 //!
 //! `tests/golden/report_worst_mixed.txt` pins the damaged-flash path:
 //! the same campaign on the mixed fleet under `worst` corruption,
-//! rendered by the streaming engine. It covers the corruption
+//! rendered by the streaming driver. It covers the corruption
 //! injector and the parser's defect handling, which the clean default
 //! campaign never reaches.
 //!
@@ -29,7 +29,7 @@ use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
 use symfail::phone::calibration::CalibrationParams;
 use symfail::phone::composition::FleetComposition;
 use symfail::phone::corruption::CorruptionProfile;
-use symfail::phone::fleet::{FleetCampaign, MergeMode, ShardSpec, StreamingOptions};
+use symfail::phone::fleet::{FleetCampaign, ShardSpec, StreamingOptions};
 use symfail::sim::SimDuration;
 
 fn campaign() -> FleetCampaign {
@@ -134,25 +134,26 @@ fn streaming_engine_matches_worst_mixed_golden_report() {
 }
 
 #[test]
-fn streaming_serial_merge_matches_golden_report() {
+fn streaming_one_phone_runs_match_golden_report() {
     let opts = StreamingOptions {
-        merge: MergeMode::Serial,
+        run_len: 1,
         ..StreamingOptions::default()
     };
     let run = campaign()
         .run_streaming_opts(2, config(), &PassRegistry::all(), &opts)
-        .expect("streaming serial run");
-    assert_matches_fixture(DEFAULT_FIXTURE, "streaming-serial", &render(&run.report));
+        .expect("streaming one-phone-run run");
+    assert_matches_fixture(DEFAULT_FIXTURE, "streaming-run-len-1", &render(&run.report));
 }
 
 #[test]
 fn streaming_shard_merge_matches_golden_report() {
-    let opts = StreamingOptions {
-        merge: MergeMode::Sharded,
-        ..StreamingOptions::default()
-    };
     let run = campaign()
-        .run_streaming_opts(3, config(), &PassRegistry::all(), &opts)
+        .run_streaming_opts(
+            3,
+            config(),
+            &PassRegistry::all(),
+            &StreamingOptions::default(),
+        )
         .expect("streaming sharded run");
     assert_matches_fixture(DEFAULT_FIXTURE, "streaming-sharded", &render(&run.report));
 }

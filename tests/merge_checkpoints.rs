@@ -115,7 +115,8 @@ fn merged_shards_match_single_process(corruption: CorruptionProfile) {
     let config = AnalysisConfig::default();
     let baseline = render(
         &campaign(SEED, corruption)
-            .run_streaming(4, config, &registry)
+            .run_streaming_opts(4, config, &registry, &StreamingOptions::default())
+            .expect("no checkpoint path, nothing can fail")
             .report,
     );
     let fingerprint = campaign(SEED, corruption).fingerprint();
@@ -195,7 +196,12 @@ fn mixed_fleet_shard_checkpoints_merge_byte_identical() {
     let config = AnalysisConfig::default();
     let mixed = || campaign(SEED, CorruptionProfile::None).with_fleet(FleetComposition::mixed());
     let spec = FleetComposition::mixed().spec_string();
-    let baseline = render(&mixed().run_streaming(4, config, &registry).report);
+    let baseline = render(
+        &mixed()
+            .run_streaming_opts(4, config, &registry, &StreamingOptions::default())
+            .expect("no checkpoint path, nothing can fail")
+            .report,
+    );
     assert!(
         baseline.contains("device class"),
         "mixed fleet must render the device-class section"
@@ -223,7 +229,8 @@ fn balanced_shard_checkpoints_match_single_process() {
     let config = AnalysisConfig::default();
     let baseline = render(
         &campaign(SEED, corruption)
-            .run_streaming(4, config, &registry)
+            .run_streaming_opts(4, config, &registry, &StreamingOptions::default())
+            .expect("no checkpoint path, nothing can fail")
             .report,
     );
     let fingerprint = campaign(SEED, corruption).fingerprint();

@@ -1,8 +1,8 @@
-//! Parallel-pipeline determinism: the work-stealing campaign and the
-//! parallel flash parser must produce byte-identical results for any
-//! worker count. Phones own forked, independent RNG streams, so the
-//! thread schedule cannot leak into any phone's bytes — these tests
-//! pin that contract.
+//! Parallel-pipeline determinism: the work-stealing campaign, the
+//! parallel flash parser and the streaming driver must produce
+//! byte-identical results for any worker count. Phones own forked,
+//! independent RNG streams, so the thread schedule cannot leak into
+//! any phone's bytes — these tests pin that contract.
 
 use symfail::core::analysis::dataset::FleetDataset;
 use symfail::core::analysis::passes::PassRegistry;
@@ -10,7 +10,7 @@ use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
 use symfail::core::flashfs::FlashFs;
 use symfail::phone::calibration::CalibrationParams;
 use symfail::phone::corruption::CorruptionProfile;
-use symfail::phone::fleet::FleetCampaign;
+use symfail::phone::fleet::{FleetCampaign, StreamingOptions};
 
 fn params() -> CalibrationParams {
     CalibrationParams {
@@ -111,56 +111,32 @@ fn corrupted_analysis_identical_across_worker_counts() {
     }
 }
 
-#[test]
-fn fused_pipeline_report_identical_across_worker_counts() {
-    // The fused pipeline parses each phone on the worker that
-    // simulated it, so the thread schedule decides *where* parsing
-    // happens — but must not decide anything about the result. Pin
-    // the whole rendered study, worst-case corruption included,
-    // across worker counts.
-    let campaign = FleetCampaign::new(2005, params()).with_corruption(CorruptionProfile::Worst);
-    let render_fused = |workers: usize| {
-        let run = campaign.run_fused(workers);
-        let report = StudyReport::analyze(&run.dataset, AnalysisConfig::default());
-        report.render_all() + &report.render_per_phone()
-    };
-    let base = render_fused(1);
-    for workers in [2usize, 8] {
-        assert_eq!(
-            base,
-            render_fused(workers),
-            "fused-pipeline study differs with {workers} workers"
-        );
-    }
-    // And the fused dataset agrees with the staged path end to end.
-    let harvest = campaign.run_parallel(4);
-    let flash: Vec<(u32, &FlashFs)> = harvest.iter().map(|h| (h.phone_id, &h.flashfs)).collect();
-    let staged = FleetDataset::from_flash_parallel(&flash, 4);
-    let staged_report = StudyReport::analyze(&staged, AnalysisConfig::default());
-    assert_eq!(
-        base,
-        staged_report.render_all() + &staged_report.render_per_phone(),
-        "fused and staged pipelines render different studies"
-    );
+/// The sequential oracle: the labeled batch analysis over the fleet
+/// parsed from `campaign.run()`.
+fn oracle(campaign: &FleetCampaign, config: AnalysisConfig, registry: &PassRegistry) -> String {
+    let harvest = campaign.run();
+    let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
+    let report =
+        StudyReport::analyze_with_labels(&fleet, config, registry, |id| campaign.device_labels(id));
+    report.render_all() + &report.render_per_phone()
 }
 
 #[test]
 fn streaming_engine_report_identical_to_batch_for_any_worker_count() {
-    // The streaming engine never materializes the fleet: each worker
-    // folds its phone's analysis passes and drops the flash and the
-    // dataset before stealing the next phone. The phone-ordered merge
-    // must make the rendered study byte-identical to the batch oracle
-    // — for any worker count, under the worst corruption profile.
+    // The streaming driver never materializes the fleet: each worker
+    // folds its phones' analysis passes and drops the flash and the
+    // dataset before simulating the next phone. The phone-ordered
+    // merge must make the rendered study byte-identical to the batch
+    // oracle — for any worker count, under the worst corruption
+    // profile.
     let campaign = FleetCampaign::new(2005, params()).with_corruption(CorruptionProfile::Worst);
     let config = AnalysisConfig::default();
     let registry = PassRegistry::all();
-    let batch = {
-        let run = campaign.run_fused(4);
-        let report = StudyReport::analyze_with(&run.dataset, config, &registry);
-        report.render_all() + &report.render_per_phone()
-    };
+    let batch = oracle(&campaign, config, &registry);
     for workers in [1usize, 4, 13] {
-        let run = campaign.run_streaming(workers, config, &registry);
+        let run = campaign
+            .run_streaming_opts(workers, config, &registry, &StreamingOptions::default())
+            .expect("no checkpoint path, nothing can fail");
         assert_eq!(
             batch,
             run.report.render_all() + &run.report.render_per_phone(),
@@ -175,39 +151,27 @@ fn streaming_engine_report_identical_to_batch_for_any_worker_count() {
 
 #[test]
 fn sharded_merge_report_identical_to_serial_for_any_worker_count_and_run_len() {
-    // The sharded driver folds contiguous runs of phones into private
+    // The driver folds contiguous runs of phones into private
     // per-worker shards and hands whole shards to the merger. The
     // shard partition (run_len) and the thread schedule decide only
-    // *when* state reaches the merger — never what the study says.
-    use symfail::phone::fleet::{MergeMode, StreamingOptions};
+    // *when* state reaches the merger — never what the study says,
+    // which must match the serial (sequential) oracle.
     let campaign = FleetCampaign::new(2005, params()).with_corruption(CorruptionProfile::Worst);
     let config = AnalysisConfig::default();
     let registry = PassRegistry::all();
-    let render = |opts: &StreamingOptions, workers: usize| {
-        let run = campaign
-            .run_streaming_opts(workers, config, &registry, opts)
-            .expect("no checkpoint path, nothing can fail");
-        run.report.render_all() + &run.report.render_per_phone()
-    };
-    let serial = render(
-        &StreamingOptions {
-            merge: MergeMode::Serial,
-            ..StreamingOptions::default()
-        },
-        1,
-    );
+    let serial = oracle(&campaign, config, &registry);
     for workers in [1usize, 4, 13] {
         for run_len in [0u32, 1, 2, 5] {
-            let sharded = render(
-                &StreamingOptions {
-                    merge: MergeMode::Sharded,
-                    run_len,
-                    ..StreamingOptions::default()
-                },
-                workers,
-            );
+            let opts = StreamingOptions {
+                run_len,
+                ..StreamingOptions::default()
+            };
+            let run = campaign
+                .run_streaming_opts(workers, config, &registry, &opts)
+                .expect("no checkpoint path, nothing can fail");
             assert_eq!(
-                serial, sharded,
+                serial,
+                run.report.render_all() + &run.report.render_per_phone(),
                 "sharded study differs from serial with {workers} workers, run_len {run_len}"
             );
         }

@@ -665,9 +665,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------
-// Sharded streaming driver: for any run partition and worker count,
-// clean or worst-corrupted, the sharded campaign renders the serial
-// merger's bytes.
+// Streaming driver: for any run partition and worker count, clean or
+// worst-corrupted, the campaign renders the serial oracle's bytes.
 // ---------------------------------------------------------------
 
 proptest! {
@@ -679,11 +678,12 @@ proptest! {
         workers in 1usize..5,
         worst in 0u8..2,
     ) {
+        use symfail::core::analysis::dataset::FleetDataset;
         use symfail::core::analysis::passes::PassRegistry;
-        use symfail::core::analysis::report::AnalysisConfig;
+        use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
         use symfail::phone::calibration::CalibrationParams;
         use symfail::phone::corruption::CorruptionProfile;
-        use symfail::phone::fleet::{FleetCampaign, MergeMode, StreamingOptions};
+        use symfail::phone::fleet::{FleetCampaign, StreamingOptions};
         let params = CalibrationParams {
             phones: 6,
             campaign_days: 20,
@@ -696,20 +696,23 @@ proptest! {
         let campaign = FleetCampaign::new(seed, params).with_corruption(profile);
         let config = AnalysisConfig::default();
         let registry = PassRegistry::all();
-        let render = |opts: &StreamingOptions, workers: usize| {
-            let run = campaign
-                .run_streaming_opts(workers, config, &registry, opts)
-                .expect("no checkpoint file, nothing can fail");
-            run.report.render_all() + &run.report.render_per_phone()
-        };
-        let serial = render(
-            &StreamingOptions { merge: MergeMode::Serial, ..StreamingOptions::default() },
-            1,
-        );
-        let sharded = render(
-            &StreamingOptions { merge: MergeMode::Sharded, run_len, ..StreamingOptions::default() },
-            workers,
-        );
+        // The serial oracle: the labeled batch analysis over the
+        // fleet parsed from `campaign.run()`.
+        let harvest = campaign.run();
+        let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
+        let report = StudyReport::analyze_with_labels(&fleet, config, &registry, |id| {
+            campaign.device_labels(id)
+        });
+        let serial = report.render_all() + &report.render_per_phone();
+        let run = campaign
+            .run_streaming_opts(
+                workers,
+                config,
+                &registry,
+                &StreamingOptions { run_len, ..StreamingOptions::default() },
+            )
+            .expect("no checkpoint file, nothing can fail");
+        let sharded = run.report.render_all() + &run.report.render_per_phone();
         prop_assert_eq!(serial, sharded, "run_len {} workers {}", run_len, workers);
     }
 }
